@@ -10,7 +10,7 @@ stated; clamped-at-zero variants are reported alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -81,20 +81,8 @@ class CrossTermTable:
     g12: float
 
     def to_dict(self) -> dict:
-        return {
-            "s11": list(self.s11),
-            "s22": list(self.s22),
-            "s12": list(self.s12),
-            "f11_multi": self.f11_multi,
-            "f22_multi": self.f22_multi,
-            "f12_multi": self.f12_multi,
-            "f11": self.f11,
-            "f22": self.f22,
-            "f12": self.f12,
-            "g11": self.g11,
-            "g22": self.g22,
-            "g12": self.g12,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
 class BoundTriple(NamedTuple):
@@ -116,24 +104,16 @@ class BoundsReport:
     t2_upper: float
     t2_lower_raw: float
     t2_lower: float
+    terms: CrossTermTable  # the table the bounds came from; not serialized
 
     @property
     def t2_gap(self) -> float:
         return self.t2_upper - self.ngme_exact
 
     def to_dict(self) -> dict:
-        return {
-            "norm_sq": self.norm_sq,
-            "n_exact": self.n_exact,
-            "ngme_exact": self.ngme_exact,
-            "t1_upper": self.t1_upper,
-            "t1_lower_raw": self.t1_lower_raw,
-            "t1_lower": self.t1_lower,
-            "t2_upper": self.t2_upper,
-            "t2_lower_raw": self.t2_lower_raw,
-            "t2_lower": self.t2_lower,
-            "t2_gap": self.t2_gap,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "terms"}
+        out["t2_gap"] = self.t2_gap
+        return out
 
 
 def cross_terms(spec: SuperpositionSpec) -> CrossTermTable:
@@ -185,40 +165,44 @@ def _gme_bounds(t: CrossTermTable) -> BoundTriple:
     return BoundTriple(upper, lower_raw, max(lower_raw, 0.0))
 
 
-def total_negativity_bounds(
-    spec: SuperpositionSpec, table: CrossTermTable | None = None
-) -> BoundTriple:
+def total_negativity_bounds(spec: SuperpositionSpec) -> BoundTriple:
     """Bounds on ||chi||^2 N(chi') for the total multipartite negativity."""
-    return _total_bounds(table if table is not None else cross_terms(spec))
+    return _total_bounds(cross_terms(spec))
 
 
-def gme_negativity_bounds(
-    spec: SuperpositionSpec, table: CrossTermTable | None = None
-) -> BoundTriple:
+def gme_negativity_bounds(spec: SuperpositionSpec) -> BoundTriple:
     """Bounds on ||chi||^2 N_GME(chi')."""
-    return _gme_bounds(table if table is not None else cross_terms(spec))
+    return _gme_bounds(cross_terms(spec))
 
 
-def min_combine_upper(b: Sequence[float], c: Sequence[float], d: Sequence[float]) -> bool:
-    """min_k(b_k + c_k + d_k) <= min(b) + max(c) + max(d), for positive triples."""
-    _check_positive_triples(b, c, d)
-    lhs = min(bk + ck + dk for bk, ck, dk in zip(b, c, d))
-    return lhs <= min(b) + max(c) + max(d)
+def min_combine_slack(
+    b: Sequence[float], c: Sequence[float], d: Sequence[float]
+) -> tuple[float, float]:
+    """Slack of both min/max lemma inequalities for positive triples:
 
+    upper = min(b) + max(c) + max(d) - min_k(b_k + c_k + d_k),
+    lower = min_k(b_k - c_k - d_k) - (min(b) - max(c) - max(d)),
 
-def min_combine_lower(b: Sequence[float], c: Sequence[float], d: Sequence[float]) -> bool:
-    """min_k(b_k - c_k - d_k) >= min(b) - max(c) - max(d), for positive triples."""
-    _check_positive_triples(b, c, d)
-    lhs = min(bk - ck - dk for bk, ck, dk in zip(b, c, d))
-    return lhs >= min(b) - max(c) - max(d)
-
-
-def _check_positive_triples(*triples: Sequence[float]) -> None:
-    for t in triples:
+    each nonnegative when its inequality holds.
+    """
+    for t in (b, c, d):
         if len(t) != 3:
             raise ValueError("expected triples of length 3")
         if any(not x > 0.0 for x in t):
             raise ValueError("all entries must be positive real numbers")
+    upper = min(b) + max(c) + max(d) - min(bk + ck + dk for bk, ck, dk in zip(b, c, d))
+    lower = min(bk - ck - dk for bk, ck, dk in zip(b, c, d)) - (min(b) - max(c) - max(d))
+    return upper, lower
+
+
+def min_combine_upper(b: Sequence[float], c: Sequence[float], d: Sequence[float]) -> bool:
+    """min_k(b_k + c_k + d_k) <= min(b) + max(c) + max(d), for positive triples."""
+    return min_combine_slack(b, c, d)[0] >= 0.0
+
+
+def min_combine_lower(b: Sequence[float], c: Sequence[float], d: Sequence[float]) -> bool:
+    """min_k(b_k - c_k - d_k) >= min(b) - max(c) - max(d), for positive triples."""
+    return min_combine_slack(b, c, d)[1] >= 0.0
 
 
 def evaluate_bounds(spec: SuperpositionSpec) -> BoundsReport:
@@ -244,6 +228,7 @@ def evaluate_bounds(spec: SuperpositionSpec) -> BoundsReport:
         t2_upper=t2.upper,
         t2_lower_raw=t2.lower_raw,
         t2_lower=t2.lower,
+        terms=table,
     )
 
 
@@ -276,18 +261,7 @@ def sweep_csv(p_grid: Sequence[float], phi: float, reports: Sequence[BoundsRepor
     """CSV text for a sweep, one row per grid point, full float precision."""
     lines = [",".join(SWEEP_COLUMNS)]
     for p, r in zip(p_grid, reports):
-        row = (
-            float(p),
-            float(phi),
-            r.norm_sq,
-            r.n_exact,
-            r.t1_upper,
-            r.t1_lower,
-            r.ngme_exact,
-            r.t2_upper,
-            r.t2_lower,
-            r.t2_gap,
-        )
+        row = [float(p), float(phi)] + [getattr(r, name) for name in SWEEP_COLUMNS[2:]]
         lines.append(",".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
 

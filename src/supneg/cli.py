@@ -1,9 +1,9 @@
 """Command-line entry point: measure, bounds, sweep, verify.
 
 Exit codes are a stable contract: 0 success, 1 verification violation,
-2 usage or input error.  ``SUPNEG_THREADS`` caps worker threads for sweep
-grids and verify ensembles; outputs are ordered by input index regardless
-of scheduling, so identical (config, seed) gives byte-identical files.
+2 usage or input error.  The checks behind ``verify`` live in
+``supneg.verify``; this module parses arguments and writes the summary and
+replay files.  Identical (config, seed) gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,26 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import library, measures, oracle
-from .states import (
-    Bipartition,
-    PureState,
-    bipartitions,
-    load_state,
-    normalize,
-    reduced_density,
-)
+from . import library, measures
+from .states import PureState, load_state, normalize
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -41,22 +32,6 @@ CLI_COEFF_TOL = 1e-6  # looser than the library check; CLI users type rounded va
 
 class CliError(Exception):
     """Usage or input error; maps to exit code 2."""
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SUPNEG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving input order; threads only if SUPNEG_THREADS > 1."""
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def parse_complex(text: str) -> complex:
@@ -89,8 +64,8 @@ def parse_named_state(spec_text: str) -> PureState:
     params = _parse_params(rest)
     try:
         if name == "ghz":
-            return library.ghz(int(params.pop("d", "2")))
-        if name == "w":
+            state = library.ghz(int(params.pop("d", "2")))
+        elif name == "w":
             state = library.w_state()
         elif name == "z":
             zp = library.ZFamilyParams(
@@ -186,11 +161,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "fix the coefficients or pass --no-coeff-check"
         )
     spec = bounds_mod.SuperpositionSpec(a1, a2, psi1, psi2, coeff_check=False)
-    payload = bounds_mod.evaluate_bounds(spec).to_dict()
+    report = bounds_mod.evaluate_bounds(spec)
+    payload = report.to_dict()
     payload["a1"] = [a1.real, a1.imag]
     payload["a2"] = [a2.real, a2.imag]
     if args.dump_terms:
-        payload["cross_terms"] = bounds_mod.cross_terms(spec).to_dict()
+        payload["cross_terms"] = report.terms.to_dict()
     text = _csv_text(payload) if args.format == "csv" else _json_text(payload)
     _emit(text, args.out)
     return EXIT_OK
@@ -211,19 +187,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _fit_block(fit: "bounds_mod.GmeCurveFit", reported: tuple) -> dict:
+    named = dict(zip(("c1", "c2", "c3"), reported))
     return {
-        "fitted": {
-            "c1": fit.c1,
-            "c2": fit.c2,
-            "c3": fit.c3,
-            "max_residual": fit.max_residual,
-        },
-        "reported": {"c1": reported[0], "c2": reported[1], "c3": reported[2]},
-        "ratio_reported_over_fitted": {
-            "c1": reported[0] / fit.c1,
-            "c2": reported[1] / fit.c2,
-            "c3": reported[2] / fit.c3,
-        },
+        "fitted": fit._asdict(),
+        "reported": named,
+        "ratio_reported_over_fitted": {k: v / getattr(fit, k) for k, v in named.items()},
     }
 
 
@@ -233,12 +201,7 @@ def sweep_sidecar(p_grid: Sequence[float], phi: float, reports) -> dict:
     fit_total = bounds_mod.fit_gme_closed_form(p_grid, [r.n_exact for r in reports])
     return {
         "grid": {"phi": float(phi), "points": [float(p) for p in p_grid]},
-        "fit_ngme": {
-            "c1": fit_gme.c1,
-            "c2": fit_gme.c2,
-            "c3": fit_gme.c3,
-            "max_residual": fit_gme.max_residual,
-        },
+        "fit_ngme": fit_gme._asdict(),
         "max_t2_gap": max(r.t2_gap for r in reports),
         "reported_constants_comparison": {
             "ngme": _fit_block(fit_gme, bounds_mod.REPORTED_GME_CONSTANTS),
@@ -252,12 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if p_grid.min() < 0.0 or p_grid.max() > 1.0:
         raise CliError("sweep grid must stay inside [0, 1]")
     phi = float(args.phi)
-    reports = _parallel_map(
-        lambda p: bounds_mod.evaluate_bounds(
-            library.z_family(library.ZFamilyParams(p=float(p), phi=phi))
-        ),
-        list(p_grid),
-    )
+    reports = bounds_mod.z_family_sweep(p_grid, phi)
     csv_text = bounds_mod.sweep_csv(p_grid, phi, reports)
     _emit(csv_text, args.out)
     if args.out is not None:
@@ -269,178 +227,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------- verify
-
-
-@dataclass
-class CheckResult:
-    name: str
-    samples: int
-    max_violation: float
-    passed: bool
-    worst: dict | None = None
-
-
-def _sample_dims(index: int) -> list[int]:
-    return [2, 2, 2] if index % 2 == 0 else [3, 3, 3]
-
-
-def _check_dual_path(samples: int, seed: int, tol: float) -> CheckResult:
-    def one(i: int) -> tuple[float, dict]:
-        state = library.haar_random(_sample_dims(i), seed ^ i)
-        worst = 0.0
-        for cut in bipartitions(state):
-            n_so = measures.negativity_so(state, cut)
-            n_pt = oracle.negativity_pt_oracle(state, cut)
-            n_sch = measures.negativity_schmidt(state, cut)
-            worst = max(worst, abs(n_so - n_pt), abs(n_so - n_sch))
-        return worst, {"sample": i, "state": state.to_dict()}
-
-    results = _parallel_map(one, range(samples))
-    return _finish("dual_path_negativity", results, tol)
-
-
-def _check_concurrence_identity(samples: int, seed: int, tol: float) -> CheckResult:
-    def one(i: int) -> tuple[float, dict]:
-        state = library.haar_random(_sample_dims(i), seed ^ i)
-        worst = 0.0
-        for cut in bipartitions(state):
-            # both paths evaluated directly so a broken convention shows up
-            # as a measured violation instead of an exception
-            rho = reduced_density(state, cut)
-            density = 2.0 * (1.0 - float((np.abs(rho) ** 2).sum()))
-            generator = float(
-                (np.abs(measures.bilinear_matrix(state, state, cut)) ** 2).sum()
-            )
-            worst = max(worst, abs(generator - density))
-        return worst, {"sample": i, "state": state.to_dict()}
-
-    results = _parallel_map(one, range(samples))
-    return _finish("concurrence_identity", results, tol)
-
-
-def _degenerate_spec(seed: int) -> bounds_mod.SuperpositionSpec:
-    # parallel components with cancelling coefficients: chi is (near) zero
-    psi = library.haar_random([2, 2, 2], seed)
-    theta = 0.7345
-    psi2 = PureState(psi.dims, np.exp(1j * theta) * psi.amplitudes)
-    a1 = complex(np.sqrt(0.5))
-    a2 = -np.exp(-1j * theta) * np.sqrt(0.5)
-    return bounds_mod.SuperpositionSpec(a1, a2, psi, psi2)
-
-
-def _sandwich_violation(spec: bounds_mod.SuperpositionSpec) -> tuple[float, float]:
-    if spec.superposed().norm_sq < 1e-12:
-        warnings.warn(
-            "superposition has near-zero norm; normalized-state values are "
-            "undefined, checking bounds on the raw scaled values"
-        )
-    report = bounds_mod.evaluate_bounds(spec)
-    v1 = max(report.t1_lower_raw - report.n_exact, report.n_exact - report.t1_upper)
-    v2 = max(
-        report.t2_lower_raw - report.ngme_exact, report.ngme_exact - report.t2_upper
-    )
-    return max(v1, 0.0), max(v2, 0.0)
-
-
-def _spec_payload(spec: bounds_mod.SuperpositionSpec) -> dict:
-    return {
-        "a1": [spec.a1.real, spec.a1.imag],
-        "a2": [spec.a2.real, spec.a2.imag],
-        "psi1": spec.psi1.to_dict(),
-        "psi2": spec.psi2.to_dict(),
-    }
-
-
-def _check_sandwiches(
-    samples: int, seed: int, tol: float
-) -> tuple[CheckResult, CheckResult]:
-    def one(i: int) -> tuple[float, float, dict]:
-        # sample 0 exercises the documented degenerate parallel superposition
-        if i == 0:
-            spec = _degenerate_spec(seed)
-        else:
-            spec = library.random_superposition_spec(_sample_dims(i), seed ^ i)
-        v1, v2 = _sandwich_violation(spec)
-        return v1, v2, {"sample": i, "spec": _spec_payload(spec)}
-
-    rows = _parallel_map(one, range(samples))
-    t1 = _finish("t1_sandwich", [(v1, w) for v1, _, w in rows], tol)
-    t2 = _finish("t2_sandwich", [(v2, w) for _, v2, w in rows], tol)
-    return t1, t2
-
-
-def _check_lemma(samples: int, seed: int, tol: float) -> CheckResult:
-    def one(i: int) -> tuple[float, dict]:
-        rng = np.random.Generator(np.random.Philox(key=(seed ^ i) & (2**64 - 1)))
-        b, c, d = rng.uniform(1e-6, 10.0, size=(3, 3))
-        lhs_up = min(bk + ck + dk for bk, ck, dk in zip(b, c, d))
-        rhs_up = min(b) + max(c) + max(d)
-        lhs_lo = min(bk - ck - dk for bk, ck, dk in zip(b, c, d))
-        rhs_lo = min(b) - max(c) - max(d)
-        violation = max(lhs_up - rhs_up, rhs_lo - lhs_lo, 0.0)
-        return violation, {"sample": i, "b": list(b), "c": list(c), "d": list(d)}
-
-    results = _parallel_map(one, range(samples))
-    return _finish("min_combine_lemma", results, tol)
-
-
-def _check_biseparable(samples: int, seed: int, tol: float) -> CheckResult:
-    def one(i: int) -> tuple[float, dict]:
-        dims = _sample_dims(i)
-        cut = Bipartition.of(dims, i % 3)
-        state = library.random_biseparable(cut, dims, seed ^ i)
-        return measures.gme_negativity(state), {"sample": i, "state": state.to_dict()}
-
-    results = _parallel_map(one, range(samples))
-    return _finish("biseparable_gme_zero", results, tol)
-
-
-def _check_haar_gme_positive(samples: int, seed: int) -> CheckResult:
-    floor = 1e-6
-
-    def one(i: int) -> tuple[float, dict]:
-        state = library.haar_random(_sample_dims(i), seed ^ i)
-        gme = measures.gme_negativity(state)
-        return max(0.0, floor - gme), {"sample": i, "state": state.to_dict()}
-
-    results = _parallel_map(one, range(samples))
-    return _finish("haar_gme_positive", results, 0.0)
-
-
-def _finish(name: str, results: list[tuple[float, dict]], tol: float) -> CheckResult:
-    worst_idx = max(range(len(results)), key=lambda k: results[k][0])
-    max_violation = float(results[worst_idx][0])
-    passed = max_violation <= tol
-    return CheckResult(
-        name=name,
-        samples=len(results),
-        max_violation=max_violation,
-        passed=passed,
-        worst=None if passed else results[worst_idx][1],
-    )
-
-
-def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckResult]]:
-    """Run every property check; returns (summary dict, individual results)."""
-    t1, t2 = _check_sandwiches(samples, seed, tol)
-    checks = [
-        _check_dual_path(samples, seed, tol),
-        _check_concurrence_identity(samples, seed, tol),
-        t1,
-        t2,
-        _check_lemma(samples, seed, tol),
-        _check_biseparable(samples, seed, tol),
-        _check_haar_gme_positive(samples, seed),
-    ]
-    summary = {
-        c.name: {
-            "samples": c.samples,
-            "max_violation": c.max_violation,
-            "pass": c.passed,
-        }
-        for c in checks
-    }
-    return summary, checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -3,8 +3,8 @@
 Random sampling uses numpy's Philox bit generator, a 64-bit counter-based
 generator with a documented, platform-independent algorithm, so seeded
 outputs (and any golden files derived from them) reproduce bit-for-bit
-everywhere.  Seeds are 64-bit unsigned integers; parallel sweeps decouple
-their streams by deriving per-point seeds as ``seed XOR index``.
+everywhere.  Seeds are 64-bit unsigned integers; seeded ensembles decouple
+their streams by deriving per-sample seeds as ``seed XOR index``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ if TYPE_CHECKING:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+
+
+def _haar_vec(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Unit vector of n i.i.d. complex Gaussians, real parts drawn first."""
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
 
 
 def ghz(d: int = 2) -> PureState:
@@ -72,10 +78,7 @@ def z_family(params: ZFamilyParams) -> "SuperpositionSpec":
 def haar_random(dims: Sequence[int], seed: int) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
     dims = tuple(int(d) for d in dims)
-    rng = _rng(seed)
-    n = int(np.prod(dims))
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return new_state(dims, z / np.linalg.norm(z))
+    return new_state(dims, _haar_vec(_rng(seed), int(np.prod(dims))))
 
 
 def random_superposition_spec(dims: Sequence[int], seed: int) -> "SuperpositionSpec":
@@ -89,14 +92,9 @@ def random_superposition_spec(dims: Sequence[int], seed: int) -> "SuperpositionS
     dims = tuple(int(d) for d in dims)
     rng = _rng(seed)
     n = int(np.prod(dims))
-
-    def _haar_vec(size: int) -> np.ndarray:
-        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return z / np.linalg.norm(z)
-
-    psi1 = PureState(dims, _haar_vec(n))
-    psi2 = PureState(dims, _haar_vec(n))
-    coeffs = _haar_vec(2)
+    psi1 = PureState(dims, _haar_vec(rng, n))
+    psi2 = PureState(dims, _haar_vec(rng, n))
+    coeffs = _haar_vec(rng, 2)
     return SuperpositionSpec(complex(coeffs[0]), complex(coeffs[1]), psi1, psi2)
 
 
@@ -128,13 +126,8 @@ def random_biseparable(cut: Bipartition, dims: Sequence[int], seed: int) -> Pure
     if len(dims) != 3:
         raise ValueError("random_biseparable is defined for tripartite states")
     rng = _rng(seed)
-
-    def _haar_vec(n: int) -> np.ndarray:
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return z / np.linalg.norm(z)
-
     rest = [d for k, d in enumerate(dims) if k != cut.kept]
-    kept_vec = _haar_vec(dims[cut.kept])
-    rest_vec = _haar_vec(int(np.prod(rest)))
+    kept_vec = _haar_vec(rng, dims[cut.kept])
+    rest_vec = _haar_vec(rng, int(np.prod(rest)))
     m = np.outer(kept_vec, rest_vec).reshape([dims[cut.kept]] + rest)
     return PureState(dims, np.moveaxis(m, 0, cut.kept).reshape(-1))

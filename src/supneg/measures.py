@@ -19,7 +19,7 @@ reduction has a fixed order, so identical inputs give bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -153,19 +153,27 @@ def gme_negativity(state: PureState) -> float:
     return min(negativity_so(state, cut) for cut in bipartitions(state))
 
 
-def concurrence_sq(state: PureState, cut: Bipartition) -> ConcurrenceSq:
-    """Squared per-cut concurrence, computed both ways.
+def concurrence_paths(state: PureState, cut: Bipartition) -> ConcurrenceSq:
+    """Squared per-cut concurrence from both paths, without comparing them.
 
     Returns the linear-entropy value 2(1 - Tr rho^2) together with the
-    generator-sum value; raises if they disagree beyond CONVENTION_TOL,
-    which would signal a generator normalization bug.
+    generator-sum value.
     """
-    _require_normalized(state, "concurrence_sq")
     rho = reduced_density(state, cut)
     purity = float((np.abs(rho) ** 2).sum())
     density = 2.0 * (1.0 - purity)
     generator = float((np.abs(bilinear_matrix(state, state, cut)) ** 2).sum())
-    pair = ConcurrenceSq(density=density, generator=generator)
+    return ConcurrenceSq(density=density, generator=generator)
+
+
+def concurrence_sq(state: PureState, cut: Bipartition) -> ConcurrenceSq:
+    """Squared per-cut concurrence, computed both ways.
+
+    Raises if the two paths disagree beyond CONVENTION_TOL, which would
+    signal a generator normalization bug.
+    """
+    _require_normalized(state, "concurrence_sq")
+    pair = concurrence_paths(state, cut)
     if abs(pair.difference) > CONVENTION_TOL:
         raise ValueError(
             f"concurrence paths disagree by {pair.difference!r} on cut {cut.label}; "
@@ -226,16 +234,7 @@ class MeasureReport:
 
     def to_dict(self, include_diagnostics: bool = True) -> dict:
         out = {
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "n_c": self.n_c,
-            "n_multi": self.n_multi,
-            "n_gme": self.n_gme,
-            "c2_a": self.c2_a,
-            "c2_b": self.c2_b,
-            "c2_c": self.c2_c,
-            "c2_multi": self.c2_multi,
-            "c_gme": self.c_gme,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagnostics"
         }
         if include_diagnostics and self.diagnostics:
             out["diagnostics"] = dict(self.diagnostics)

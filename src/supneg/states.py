@@ -38,7 +38,7 @@ class PureState:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)  # a copy: never alias the caller
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a flat vector")
         if amps.size != int(np.prod(dims)):
@@ -46,7 +46,6 @@ class PureState:
                 f"amplitude length {amps.size} does not match dims {dims} "
                 f"(expected {int(np.prod(dims))})"
             )
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -128,14 +127,17 @@ class SchmidtSpectrum:
 def new_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     """Build a state from raw amplitudes without normalizing.
 
-    Rejects length mismatches, subsystem dimensions below 2 and the zero
-    vector.  Superposition outputs bypass this constructor so that their
-    possibly vanishing norm stays representable.
+    Rejects length mismatches, subsystem dimensions below 2, non-finite
+    amplitudes and the zero vector.  Superposition outputs bypass this
+    constructor so that their possibly vanishing norm stays representable.
     """
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise ValueError(f"all subsystem dimensions must be >= 2, got {dims}")
     state = PureState(dims, np.asarray(amplitudes, dtype=complex))
+    bad = np.flatnonzero(~np.isfinite(state.amplitudes))
+    if bad.size:
+        raise ValueError(f"non-finite amplitudes at indices {bad.tolist()}")
     if np.sqrt(state.norm_sq) < ZERO_NORM_TOL:
         raise ValueError("zero vector is not a valid state")
     return state

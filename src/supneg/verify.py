@@ -1,0 +1,151 @@
+"""Property harness: seeded checks of the fast paths and the bounds.
+
+``CHECKS`` is a table of per-sample functions.  Each takes the sample index
+and the run seed and returns one violation per check name it produces plus
+the inputs that replay the sample; sample ``i`` draws from its own stream
+keyed by ``seed ^ i``, so results do not depend on evaluation order.
+A check passes when its largest violation over the samples is within
+tolerance; a failing check keeps the inputs of its worst sample.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from . import bounds, library, measures, oracle
+from .states import Bipartition, PureState, bipartitions
+
+HAAR_GME_FLOOR = 1e-6  # Haar states must clear this GME negativity
+
+
+@dataclass
+class CheckResult:
+    name: str
+    samples: int
+    max_violation: float
+    passed: bool
+    worst: dict | None = None
+
+
+class Check(NamedTuple):
+    names: tuple[str, ...]
+    sample: Callable[[int, int], tuple[tuple[float, ...], dict]]
+    tol: float | None = None  # None: the tolerance the run was given
+
+
+def _sample_dims(index: int) -> list[int]:
+    return [2, 2, 2] if index % 2 == 0 else [3, 3, 3]
+
+
+def _haar_sample(i: int, seed: int) -> tuple[PureState, dict]:
+    state = library.haar_random(_sample_dims(i), seed ^ i)
+    return state, {"sample": i, "state": state.to_dict()}
+
+
+def _dual_path(i: int, seed: int) -> tuple[tuple[float], dict]:
+    state, inputs = _haar_sample(i, seed)
+    worst = 0.0
+    for cut in bipartitions(state):
+        n_so = measures.negativity_so(state, cut)
+        n_pt = oracle.negativity_pt_oracle(state, cut)
+        n_sch = measures.negativity_schmidt(state, cut)
+        worst = max(worst, abs(n_so - n_pt), abs(n_so - n_sch))
+    return (worst,), inputs
+
+
+def _concurrence_identity(i: int, seed: int) -> tuple[tuple[float], dict]:
+    state, inputs = _haar_sample(i, seed)
+    # the non-raising paths, so a broken convention is a measured violation
+    worst = 0.0
+    for cut in bipartitions(state):
+        worst = max(worst, abs(measures.concurrence_paths(state, cut).difference))
+    return (worst,), inputs
+
+
+def _degenerate_spec(seed: int) -> bounds.SuperpositionSpec:
+    # parallel components with cancelling coefficients: chi is (near) zero
+    psi = library.haar_random([2, 2, 2], seed)
+    theta = 0.7345
+    psi2 = PureState(psi.dims, np.exp(1j * theta) * psi.amplitudes)
+    a1 = complex(np.sqrt(0.5))
+    a2 = -np.exp(-1j * theta) * np.sqrt(0.5)
+    return bounds.SuperpositionSpec(a1, a2, psi, psi2)
+
+
+def _sandwiches(i: int, seed: int) -> tuple[tuple[float, float], dict]:
+    # sample 0 exercises the documented degenerate parallel superposition
+    if i == 0:
+        spec = _degenerate_spec(seed)
+    else:
+        spec = library.random_superposition_spec(_sample_dims(i), seed ^ i)
+    if spec.superposed().norm_sq < 1e-12:
+        warnings.warn(
+            "superposition has near-zero norm; normalized-state values are "
+            "undefined, checking bounds on the raw scaled values"
+        )
+    r = bounds.evaluate_bounds(spec)
+    v1 = max(r.t1_lower_raw - r.n_exact, r.n_exact - r.t1_upper)
+    v2 = max(r.t2_lower_raw - r.ngme_exact, r.ngme_exact - r.t2_upper)
+    payload = {
+        "a1": [spec.a1.real, spec.a1.imag],
+        "a2": [spec.a2.real, spec.a2.imag],
+        "psi1": spec.psi1.to_dict(),
+        "psi2": spec.psi2.to_dict(),
+    }
+    return (max(v1, 0.0), max(v2, 0.0)), {"sample": i, "spec": payload}
+
+
+def _lemma(i: int, seed: int) -> tuple[tuple[float], dict]:
+    rng = np.random.Generator(np.random.Philox(key=(seed ^ i) & (2**64 - 1)))
+    b, c, d = rng.uniform(1e-6, 10.0, size=(3, 3))
+    upper, lower = bounds.min_combine_slack(b, c, d)
+    inputs = {"sample": i, "b": list(b), "c": list(c), "d": list(d)}
+    return (max(0.0, -upper, -lower),), inputs
+
+
+def _biseparable(i: int, seed: int) -> tuple[tuple[float], dict]:
+    dims = _sample_dims(i)
+    state = library.random_biseparable(Bipartition.of(dims, i % 3), dims, seed ^ i)
+    return (measures.gme_negativity(state),), {"sample": i, "state": state.to_dict()}
+
+
+def _haar_gme_positive(i: int, seed: int) -> tuple[tuple[float], dict]:
+    state, inputs = _haar_sample(i, seed)
+    return (max(0.0, HAAR_GME_FLOOR - measures.gme_negativity(state)),), inputs
+
+
+CHECKS = (
+    Check(("dual_path_negativity",), _dual_path),
+    Check(("concurrence_identity",), _concurrence_identity),
+    Check(("t1_sandwich", "t2_sandwich"), _sandwiches),
+    Check(("min_combine_lemma",), _lemma),
+    Check(("biseparable_gme_zero",), _biseparable),
+    Check(("haar_gme_positive",), _haar_gme_positive, tol=0.0),
+)
+
+
+def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckResult]]:
+    """Run every property check; returns (summary dict, individual results)."""
+    results = []
+    for check in CHECKS:
+        rows = [check.sample(i, seed) for i in range(samples)]
+        limit = tol if check.tol is None else check.tol
+        for k, name in enumerate(check.names):
+            worst = max(range(samples), key=lambda i: rows[i][0][k])
+            violation = float(rows[worst][0][k])
+            passed = violation <= limit
+            inputs = None if passed else rows[worst][1]
+            results.append(CheckResult(name, samples, violation, passed, inputs))
+    summary = {
+        c.name: {
+            "samples": c.samples,
+            "max_violation": c.max_violation,
+            "pass": c.passed,
+        }
+        for c in results
+    }
+    return summary, results
