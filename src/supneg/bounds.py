@@ -17,7 +17,7 @@ import numpy as np
 
 from . import library
 from .measures import cross_sum
-from .states import COEFF_TOL, PureState, bipartitions, superpose
+from .states import PureState, bipartitions, superpose
 
 # Previously reported closed-form constants for the GHZ/W-superposition
 # family, kept only for the comparison emitted by sweeps; this package's
@@ -39,13 +39,8 @@ class SuperpositionSpec:
     def __post_init__(self):
         object.__setattr__(self, "a1", complex(self.a1))
         object.__setattr__(self, "a2", complex(self.a2))
-        if self.psi1.dims != self.psi2.dims:
-            raise ValueError(f"dims mismatch: {self.psi1.dims} vs {self.psi2.dims}")
-        weight = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if self.coeff_check and abs(weight - 1.0) > COEFF_TOL:
-            raise ValueError(
-                f"coefficients must satisfy |a1|^2+|a2|^2=1, got {weight!r}"
-            )
+        # superpose's own dims and coefficient checks; the vector is not kept
+        superpose(self.a1, self.psi1, self.a2, self.psi2, self.coeff_check)
 
     def superposed(self) -> PureState:
         """The raw (unnormalized) vector a1*psi1 + a2*psi2."""

@@ -29,7 +29,7 @@ from .states import (
     PureState,
     bipartitions,
     matricize,
-    reduced_density,
+    require_normalized,
     schmidt_spectrum,
 )
 
@@ -44,11 +44,13 @@ class GeneratorPair(NamedTuple):
     j: int
 
 
-class ConcurrenceSq(NamedTuple):
-    """Squared concurrence from both evaluation paths, for diagnostics."""
+class CutMeasures(NamedTuple):
+    """Per-cut values from sigma (singular values of T) and lambda (Schmidt)."""
 
-    density: float  # 2 (1 - Tr rho_gamma^2)
-    generator: float  # sum_{alpha,beta} |B_{alpha beta}|^2
+    negativity: float  # sum sigma, the trace norm of T
+    schmidt: float  # (sum sqrt(lambda))^2 - 1
+    density: float  # 4 sum_{i<j} lambda_i lambda_j = 2 (1 - Tr rho_gamma^2)
+    generator: float  # sum sigma^2 = sum_{alpha,beta} |B_{alpha beta}|^2
 
     @property
     def difference(self) -> float:
@@ -114,6 +116,11 @@ def bilinear_matrix(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndar
     )
 
 
+def _t_singular_values(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndarray:
+    # the module-level name, so a test that swaps bilinear_matrix reaches T
+    return np.linalg.svd(bilinear_matrix(psi, phi, cut), compute_uv=False)
+
+
 def cross_sum(psi: PureState, phi: PureState, cut: Bipartition) -> float:
     """Trace norm of the bilinear-form matrix for one cut.
 
@@ -121,26 +128,22 @@ def cross_sum(psi: PureState, phi: PureState, cut: Bipartition) -> float:
     either argument -- so applied to an unnormalized chi it directly yields
     ||chi||^2 times the per-cut negativity of the normalized state.
     """
-    t = bilinear_matrix(psi, phi, cut)
-    return float(np.linalg.svd(t, compute_uv=False).sum())
-
-
-def _require_normalized(state: PureState, what: str) -> None:
-    if abs(state.norm_sq - 1.0) > 1e-10:
-        raise ValueError(f"{what} requires a normalized state")
+    return float(_t_singular_values(psi, phi, cut).sum())
 
 
 def negativity_so(state: PureState, cut: Bipartition) -> float:
     """Per-cut negativity via the generator representation."""
-    _require_normalized(state, "negativity_so")
+    require_normalized(state, "negativity_so")
     return cross_sum(state, state, cut)
+
+
+def _schmidt_negativity(lam: np.ndarray) -> float:
+    return float(np.sqrt(lam).sum() ** 2 - 1.0)
 
 
 def negativity_schmidt(state: PureState, cut: Bipartition) -> float:
     """Per-cut negativity from the Schmidt spectrum: (sum sqrt(lambda))^2 - 1."""
-    _require_normalized(state, "negativity_schmidt")
-    lam = schmidt_spectrum(state, cut).lambdas
-    return float(np.sqrt(lam).sum() ** 2 - 1.0)
+    return _schmidt_negativity(schmidt_spectrum(state, cut).lambdas)
 
 
 def multipartite_negativity(state: PureState) -> float:
@@ -153,26 +156,29 @@ def gme_negativity(state: PureState) -> float:
     return min(negativity_so(state, cut) for cut in bipartitions(state))
 
 
-def concurrence_paths(state: PureState, cut: Bipartition) -> ConcurrenceSq:
-    """Squared per-cut concurrence from both paths, without comparing them.
+def concurrence_paths(state: PureState, cut: Bipartition) -> CutMeasures:
+    """All per-cut values of a normalized state, without comparing paths.
 
-    Returns the linear-entropy value 2(1 - Tr rho^2) together with the
-    generator-sum value.
+    One SVD of T and one of the matricization per cut.  The density-path
+    concurrence 4 sum_{i<j} lambda_i lambda_j equals 2(1 - Tr rho^2) at unit
+    norm without its cancellation, so a product cut reads ~1e-32, not ~1e-16.
     """
-    rho = reduced_density(state, cut)
-    purity = float((np.abs(rho) ** 2).sum())
-    density = 2.0 * (1.0 - purity)
-    generator = float((np.abs(bilinear_matrix(state, state, cut)) ** 2).sum())
-    return ConcurrenceSq(density=density, generator=generator)
+    lam = schmidt_spectrum(state, cut).lambdas  # raises unless normalized
+    sigma = _t_singular_values(state, state, cut)
+    return CutMeasures(
+        negativity=float(sigma.sum()),
+        schmidt=_schmidt_negativity(lam),
+        density=4.0 * float(np.triu(np.outer(lam, lam), 1).sum()),
+        generator=float((sigma * sigma).sum()),
+    )
 
 
-def concurrence_sq(state: PureState, cut: Bipartition) -> ConcurrenceSq:
-    """Squared per-cut concurrence, computed both ways.
+def concurrence_sq(state: PureState, cut: Bipartition) -> CutMeasures:
+    """All per-cut values, with the squared concurrence computed both ways.
 
-    Raises if the two paths disagree beyond CONVENTION_TOL, which would
-    signal a generator normalization bug.
+    Raises if the two concurrence paths disagree beyond CONVENTION_TOL,
+    which would signal a generator normalization bug.
     """
-    _require_normalized(state, "concurrence_sq")
     pair = concurrence_paths(state, cut)
     if abs(pair.difference) > CONVENTION_TOL:
         raise ValueError(
@@ -189,10 +195,8 @@ def multipartite_concurrence_sq(state: PureState) -> float:
 
 def gme_concurrence(state: PureState) -> float:
     """min over cuts of sqrt(2 (1 - Tr rho_gamma^2))."""
-    return min(
-        float(np.sqrt(max(concurrence_sq(state, cut).density, 0.0)))
-        for cut in bipartitions(state)
-    )
+    c2 = [concurrence_sq(state, cut).density for cut in bipartitions(state)]
+    return float(np.sqrt(min(c2)))
 
 
 @dataclass(frozen=True)
@@ -244,33 +248,29 @@ class MeasureReport:
 def measure_report(state: PureState) -> MeasureReport:
     """Evaluate every measure of a normalized tripartite state.
 
-    The multipartite negativity is 2 * sum of the per-cut values and the
-    GME negativity is their min, both by construction.  Diagnostics carry
-    the Schmidt-path negativities, the concurrence path differences, and
-    the GME concurrence without the factor 2 under the root (an alternate
-    convention some references use).
+    One ``concurrence_sq`` pass per cut.  The multipartite negativity is
+    2 * sum of the per-cut values and the GME negativity is their min, both
+    by construction.  Diagnostics carry the Schmidt-path negativities, the
+    concurrence path differences, and the GME concurrence without the
+    factor 2 under the root (an alternate convention some references use).
     """
-    _require_normalized(state, "measure_report")
-    cuts = bipartitions(state)
-    negs = [negativity_so(state, cut) for cut in cuts]
-    c2 = [concurrence_sq(state, cut) for cut in cuts]
-    c2_density = [pair.density for pair in c2]
+    per_cut = [concurrence_sq(state, cut) for cut in bipartitions(state)]
+    negs = [c.negativity for c in per_cut]
+    c2 = [c.density for c in per_cut]
     return MeasureReport(
         n_a=negs[0],
         n_b=negs[1],
         n_c=negs[2],
         n_multi=2.0 * sum(negs),
         n_gme=min(negs),
-        c2_a=c2_density[0],
-        c2_b=c2_density[1],
-        c2_c=c2_density[2],
-        c2_multi=sum(c2_density),
-        c_gme=min(float(np.sqrt(max(v, 0.0))) for v in c2_density),
+        c2_a=c2[0],
+        c2_b=c2[1],
+        c2_c=c2[2],
+        c2_multi=sum(c2),
+        c_gme=float(np.sqrt(min(c2))),
         diagnostics={
-            "n_schmidt": [negativity_schmidt(state, cut) for cut in cuts],
-            "c2_path_difference": [pair.difference for pair in c2],
-            "c_gme_unit_prefactor": min(
-                float(np.sqrt(max(v / 2.0, 0.0))) for v in c2_density
-            ),
+            "n_schmidt": [c.schmidt for c in per_cut],
+            "c2_path_difference": [c.difference for c in per_cut],
+            "c_gme_unit_prefactor": float(np.sqrt(min(c2) / 2.0)),
         },
     )

@@ -42,6 +42,7 @@ def density_matrix(state: "PureState", max_dim: int = DEFAULT_MAX_DIM) -> np.nda
         raise ValueError(
             f"dense oracle capped at total dimension {max_dim}, got {amps.size}"
         )
+    # its own check, not states.require_normalized: the oracle stays independent
     if abs(state.norm_sq - 1.0) > 1e-10:
         raise ValueError("density_matrix requires a normalized state")
     return np.outer(amps, amps.conj())
@@ -154,7 +155,8 @@ def negativity_pt_oracle(
 
     The fully dense reference path: outer product, axis-swap partial
     transpose, Jacobi spectrum.  Shares nothing with the generator-sum or
-    Schmidt evaluations beyond the input amplitudes.
+    Schmidt evaluations beyond the input amplitudes; they use LAPACK SVDs,
+    and only this module calls the Jacobi solver.
     """
     rho = density_matrix(state, max_dim=max_dim)
     rho_pt = partial_transpose(rho, state.dims, cut.kept)

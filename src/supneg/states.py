@@ -3,8 +3,7 @@
 Amplitudes are flat complex vectors in row-major subsystem order: for a
 tripartite state the entry for basis label (i_A, i_B, i_C) sits at index
 ``(i_A * d_B + i_B) * d_C + i_C``.  All containers are immutable and every
-operation is a pure function, so everything here is safe to call from
-concurrent workers.
+operation is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-
-from .oracle import hermitian_eigenvalues
 
 NORMALIZED_TOL = 1e-12  # |<psi|psi> - 1| for a state considered normalized
 ZERO_NORM_TOL = 1e-14  # vectors shorter than this count as the zero vector
@@ -110,7 +107,7 @@ def bipartitions(state: PureState) -> tuple[Bipartition, Bipartition, Bipartitio
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Eigenvalues of a reduced density matrix, descending, clamped to [0, 1]."""
+    """Squared Schmidt coefficients (eigenvalues of rho), descending, in [0, 1]."""
 
     lambdas: np.ndarray
 
@@ -141,6 +138,12 @@ def new_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     if np.sqrt(state.norm_sq) < ZERO_NORM_TOL:
         raise ValueError("zero vector is not a valid state")
     return state
+
+
+def require_normalized(state: PureState, what: str) -> None:
+    """Raise unless ``state`` has unit norm to within 1e-10."""
+    if abs(state.norm_sq - 1.0) > 1e-10:
+        raise ValueError(f"{what} requires a normalized state")
 
 
 def normalize(state: PureState) -> tuple[PureState, float]:
@@ -204,25 +207,21 @@ def reduced_density(
     explicitly, in which case the result is scaled to unit trace.
     """
     if norm_sq is None:
-        if abs(state.norm_sq - 1.0) > 1e-10:
-            raise ValueError(
-                "reduced_density requires a normalized state "
-                "(or pass norm_sq for explicit scaling)"
-            )
+        require_normalized(state, "reduced_density without an explicit norm_sq")
         norm_sq = 1.0
     m = matricize(state, cut)
     return (m @ m.conj().T) / norm_sq
 
 
 def schmidt_spectrum(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
-    """Eigenvalues of the reduced density matrix, descending."""
-    rho = reduced_density(state, cut)
-    lam = hermitian_eigenvalues(rho)
-    lam = np.clip(lam, 0.0, 1.0)
-    total = float(lam.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"Schmidt spectrum sums to {total!r}, expected 1")
-    return SchmidtSpectrum(lam)
+    """Squared singular values of the matricization of a normalized state.
+
+    Vanishing Schmidt coefficients come out at rounding level (~1e-16), not
+    as square roots of rounding-level eigenvalues of rho = M M^dagger.
+    """
+    require_normalized(state, "schmidt_spectrum")
+    s = np.linalg.svd(matricize(state, cut), compute_uv=False)
+    return SchmidtSpectrum(np.clip(s * s, 0.0, 1.0))
 
 
 def state_from_dict(payload: dict) -> PureState:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from supneg.states import (
     bipartitions,
     matricize,
     new_state,
+    normalize,
     superpose,
 )
 
@@ -240,6 +243,30 @@ def test_dual_path_negativity_on_haar_states(dims):
             assert n_so == pytest.approx(negativity_schmidt(s, cut), abs=1e-9)
 
 
+def _biseparable_and_near_product(dims):
+    """A biseparable state per kept subsystem and seed, then it plus 1e-4 noise."""
+    for kept in range(3):
+        for seed in range(2):
+            key = 10 * kept + seed
+            s = library.random_biseparable(Bipartition.of(dims, kept), dims, key)
+            yield s
+            noise = library.haar_random(dims, 1000 + key).amplitudes
+            yield normalize(new_state(dims, s.amplitudes + 1e-4 * noise))[0]
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
+def test_dual_path_negativity_on_biseparable_and_near_product_states(dims):
+    # a product cut has vanishing Schmidt coefficients: the paths must not
+    # take square roots of rounding-level eigenvalues there
+    for s in _biseparable_and_near_product(dims):
+        for cut in bipartitions(s):
+            n_so = negativity_so(s, cut)
+            assert n_so == pytest.approx(
+                oracle.negativity_pt_oracle(s, cut), abs=1e-9
+            )
+            assert n_so == pytest.approx(negativity_schmidt(s, cut), abs=1e-9)
+
+
 def test_multipartite_negativity_values(ghz, w):
     assert multipartite_negativity(ghz) == pytest.approx(6.0, abs=1e-12)
     assert multipartite_negativity(w) == pytest.approx(4 * np.sqrt(2), abs=1e-12)
@@ -393,6 +420,40 @@ def test_measure_report_structure_and_identities(w):
     assert d["n_multi"] == pytest.approx(2 * (d["n_a"] + d["n_b"] + d["n_c"]), abs=1e-10)
     assert d["n_gme"] == min(d["n_a"], d["n_b"], d["n_c"])  # exact, by construction
     assert all(isinstance(v, float) for v in d.values())
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
+def test_measure_report_vanishes_on_biseparable_states(dims):
+    for kept in range(3):
+        s = library.random_biseparable(Bipartition.of(dims, kept), dims, kept)
+        report = measure_report(s)
+        assert report.n_gme <= 1e-12
+        assert report.c_gme <= 1e-12
+        assert abs(report.diagnostics["n_schmidt"][kept]) <= 1e-12
+
+
+def _count_calls(monkeypatch, fn):
+    """Route every supneg module's reference to fn through a call counter."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "supneg" or name.startswith("supneg."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_measure_report_is_one_pass_per_cut(monkeypatch):
+    t_builds = _count_calls(monkeypatch, measures.bilinear_matrix)
+    jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
+    measure_report(library.haar_random([3, 3, 3], 5))
+    assert len(t_builds) == 3  # one T per cut
+    assert len(jacobi_calls) == 0  # the Jacobi solver serves the oracle only
 
 
 def test_measure_report_diagnostics(ghz):

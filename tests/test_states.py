@@ -1,10 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supneg.states
 from supneg import library
 from supneg.states import (
     Bipartition,
@@ -314,3 +317,19 @@ def test_state_file_rejects_length_mismatch(tmp_path):
 def test_state_from_dict_requires_keys():
     with pytest.raises(ValueError, match="dims"):
         state_from_dict({"amplitudes": []})
+
+
+# ---------------------------------------------------------------- imports
+
+
+def test_states_imports_nothing_from_oracle():
+    # the dense oracle certifies the fast paths, so they share no code with it
+    tree = ast.parse(Path(supneg.states.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "oracle" in name]
