@@ -13,6 +13,15 @@ for psi = phi normalized.  The trace norm is the evaluation used throughout:
 the entry-wise sum of |B| is basis dependent and overshoots the negativity
 for states whose matricization is not Schmidt aligned.
 
+Cross sums never form T densely.  For an r x c matricization T has
+C(r,2) x C(c,2) entries, each a sum of 2x2 minors: T(P, Q) = C2(P + Q) -
+C2(P) - C2(Q) for the conjugated matricizations P, Q, with C2 the second
+compound.  A thin LQ [P; Q] = L W with W W^dagger = I gives
+T(P, Q) = T(L_P, L_Q) C2(W) by Cauchy-Binet, and C2(W) is a co-isometry
+(Horn & Johnson, Matrix Analysis, sec. 0.8.1).  So the smaller matrix
+T(L_P, L_Q), C(r,2) x C(min(2r, c),2) or C(r,2) x C(min(r, c),2) for
+psi = phi, has the singular values of T.
+
 Determinism: generator pairs are enumerated lexicographically and every
 reduction has a fixed order, so identical inputs give bit-identical results.
 """
@@ -100,15 +109,15 @@ def bilinear_form(
     )
 
 
-def bilinear_matrix(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndarray:
-    """All bilinear forms as a D1 x D2 matrix, rows alpha, columns beta.
+def t_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """T(p, q) = C2(p + q) - C2(p) - C2(q) for two same-shape arrays.
 
-    Row and column pairs run lexicographically.  For psi = phi the entries
-    are twice the 2x2 minors of the conjugated matricization.
+    Rows alpha and columns beta are generator pairs, lexicographic; entry
+    p[i,k] q[j,l] + q[i,k] p[j,l] - p[i,l] q[j,k] - q[i,l] p[j,k], grouped so
+    that swapping p and q gives the same matrix bit for bit.
     """
-    p, q = _conj_matricizations(psi, phi, cut)
-    ri, rj = np.triu_indices(cut.row_dim, 1)
-    ci, cj = np.triu_indices(cut.col_dim, 1)
+    ri, rj = np.triu_indices(p.shape[0], 1)
+    ci, cj = np.triu_indices(p.shape[1], 1)
     pi, pj = p[ri], p[rj]
     qi, qj = q[ri], q[rj]
     return (pi[:, ci] * qj[:, cj] + qi[:, ci] * pj[:, cj]) - (
@@ -116,17 +125,49 @@ def bilinear_matrix(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndar
     )
 
 
+def bilinear_matrix(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndarray:
+    """All bilinear forms as a dense D1 x D2 matrix, rows alpha, columns beta.
+
+    Row and column pairs run lexicographically.  For psi = phi the entries
+    are twice the 2x2 minors of the conjugated matricization.  This is the
+    reference for the compressed kernel; cross sums never build it.
+    """
+    return t_matrix(*_conj_matricizations(psi, phi, cut))
+
+
+def _lq_factors(states: list[PureState], cut: Bipartition) -> list[np.ndarray]:
+    """Row blocks L_k of a thin LQ [P_1; P_2; ...] = L W, W W^dagger = I.
+
+    P_k is the conjugated matricization of states[k].  L is the conjugate
+    transpose of R from a QR of the stacked transpose, never a factor of the
+    Gram matrix, which would square the condition number.
+    """
+    m = np.vstack([matricize(s, cut) for s in states])
+    return np.split(np.linalg.qr(m.T, mode="r").conj().T, len(states))
+
+
 def _t_singular_values(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndarray:
-    # the module-level name, so a test that swaps bilinear_matrix reaches T
-    return np.linalg.svd(bilinear_matrix(psi, phi, cut), compute_uv=False)
+    """Singular values of T(P, Q), read off the compressed T(L_P, L_Q).
+
+    Keyed on amplitude bytes: equal states factor P alone, and distinct ones
+    stack in byte order, so swapping the arguments changes no bit.  The
+    module-level t_matrix is looked up per call, so a test can swap it.
+    """
+    if psi.dims != phi.dims:
+        raise ValueError(f"dims mismatch: {psi.dims} vs {phi.dims}")
+    by_bytes = {s.amplitudes.tobytes(): s for s in (psi, phi)}
+    factors = _lq_factors([by_bytes[k] for k in sorted(by_bytes)], cut)
+    return np.linalg.svd(t_matrix(factors[0], factors[-1]), compute_uv=False)
 
 
 def cross_sum(psi: PureState, phi: PureState, cut: Bipartition) -> float:
     """Trace norm of the bilinear-form matrix for one cut.
 
-    Nonnegative, symmetric in (psi, phi), and quadratic under rescaling of
-    either argument -- so applied to an unnormalized chi it directly yields
-    ||chi||^2 times the per-cut negativity of the normalized state.
+    Nonnegative, symmetric in (psi, phi) bit for bit, and quadratic under
+    rescaling of either argument -- so applied to an unnormalized chi it
+    directly yields ||chi||^2 times the per-cut negativity of the normalized
+    state.  Computed from the LQ factors of the matricizations (see the
+    module docstring), never from the dense bilinear_matrix.
     """
     return float(_t_singular_values(psi, phi, cut).sum())
 

@@ -9,6 +9,8 @@ operation is a pure function of its arguments.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -38,10 +40,10 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=complex)  # a copy: never alias the caller
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a flat vector")
-        if amps.size != int(np.prod(dims)):
+        if amps.size != math.prod(dims):  # exact: np.prod wraps around int64
             raise ValueError(
                 f"amplitude length {amps.size} does not match dims {dims} "
-                f"(expected {int(np.prod(dims))})"
+                f"(expected {math.prod(dims)})"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -124,10 +126,17 @@ class SchmidtSpectrum:
 def new_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     """Build a state from raw amplitudes without normalizing.
 
-    Rejects length mismatches, subsystem dimensions below 2, non-finite
-    amplitudes and the zero vector.  Superposition outputs bypass this
-    constructor so that their possibly vanishing norm stays representable.
+    Rejects dims that are not a sequence of integers (a boolean or a float
+    such as 2.0 is not one), subsystem dimensions below 2, length mismatches,
+    non-finite amplitudes and the zero vector.  Superposition outputs bypass
+    this constructor so that their possibly vanishing norm stays representable.
     """
+    if (
+        isinstance(dims, (str, bytes))
+        or not isinstance(dims, (Sequence, np.ndarray))
+        or any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims)
+    ):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise ValueError(f"all subsystem dimensions must be >= 2, got {dims}")
@@ -225,15 +234,22 @@ def schmidt_spectrum(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
 
 
 def state_from_dict(payload: dict) -> PureState:
-    """Parse the JSON state format {"dims": [...], "amplitudes": [[re, im], ...]}."""
+    """Parse the JSON state format {"dims": [...], "amplitudes": [[re, im], ...]}.
+
+    Anything else -- bare-number, null or string amplitudes, amplitudes out
+    of the float range, non-integer dims -- raises ValueError, which the CLI
+    reports with exit code 2.
+    """
     try:
         dims = payload["dims"]
         pairs = payload["amplitudes"]
     except (KeyError, TypeError) as exc:
         raise ValueError("state payload must carry 'dims' and 'amplitudes'") from exc
-    amps = np.array(
-        [complex(float(re), float(im)) for re, im in pairs], dtype=complex
-    )
+    try:
+        # two-argument complex() takes real numbers only: no str, None or list
+        amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"amplitudes must be [re, im] pairs of numbers: {exc}") from exc
     return new_state(dims, amps)
 
 

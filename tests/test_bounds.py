@@ -17,7 +17,7 @@ from supneg.bounds import (
     total_negativity_bounds,
     z_family_sweep,
 )
-from supneg.states import new_state, normalize
+from supneg.states import bipartitions, matricize, new_state, normalize
 
 S2 = 1 / np.sqrt(2)
 
@@ -147,6 +147,61 @@ def test_sandwich_on_random_specs(dims):
         assert r.t2_lower_raw <= r.ngme_exact + 1e-9
         assert r.ngme_exact <= r.t2_upper + 1e-9
         assert r.t1_lower >= 0.0 and r.t2_lower >= 0.0
+
+
+def _on_levels(state, low, d=4):
+    """A three-qubit state placed on levels {low, low + 1} of each qudit."""
+    t = np.zeros((d, d, d), dtype=complex)
+    t[low:low + 2, low:low + 2, low:low + 2] = state.tensor()
+    return new_state([d, d, d], t.reshape(-1))
+
+
+def _seeded_specs(psi1, psi2, count=20):
+    rng = np.random.default_rng(2014)
+    for _ in range(count):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a1, a2 = z / np.linalg.norm(z)
+        yield SuperpositionSpec(complex(a1), complex(a2), psi1, psi2)
+
+
+def test_bounds_attained_on_locally_orthogonal_ghz_and_w(ghz, w):
+    # orthogonal local supports on every party: each matricization of chi is
+    # block diagonal, so T(psi1, psi2) has singular values s1_a s2_b and the
+    # triangle inequality is an equality; GHZ and W each have the same
+    # negativity on all three cuts, so the min/max lemma is one too
+    for spec in _seeded_specs(_on_levels(ghz, 0), _on_levels(w, 2)):
+        r = evaluate_bounds(spec)
+        assert abs(r.t1_upper - r.n_exact) <= 1e-9
+        assert abs(r.t2_upper - r.ngme_exact) <= 1e-9
+
+
+def test_total_bound_attained_on_locally_orthogonal_haar_states():
+    # unequal per-cut negativities: the t2 gap stays open, the t1 one does not
+    psi1 = _on_levels(library.haar_random([2, 2, 2], 5), 0)
+    psi2 = _on_levels(library.haar_random([2, 2, 2], 6), 2)
+    for spec in _seeded_specs(psi1, psi2):
+        r = evaluate_bounds(spec)
+        assert abs(r.t1_upper - r.n_exact) <= 1e-9
+
+
+def _schmidt_cross_sums(state):
+    """(sum of Schmidt coefficients)^2 - ||x||^2 per cut: S(x, x) in closed form."""
+    sums = []
+    for cut in bipartitions(state):
+        s = np.linalg.svd(matricize(state, cut), compute_uv=False)
+        sums.append(float(s.sum()) ** 2 - state.norm_sq)
+    return sums
+
+
+def test_evaluate_bounds_at_d20_matches_schmidt_reference():
+    # the dense T would be 190 x 79,800 complex per temporary here
+    spec = library.random_superposition_spec([20, 20, 20], 2014)
+    r = evaluate_bounds(spec)
+    for got, state in ((r.terms.s11, spec.psi1), (r.terms.s22, spec.psi2)):
+        np.testing.assert_allclose(got, _schmidt_cross_sums(state), rtol=0, atol=1e-9)
+    chi = _schmidt_cross_sums(spec.superposed())
+    assert r.n_exact == pytest.approx(2.0 * sum(chi), abs=1e-9)
+    assert r.ngme_exact == pytest.approx(min(chi), abs=1e-9)
 
 
 def test_exact_values_match_measures_of_normalized_state():

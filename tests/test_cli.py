@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supneg.measures as measures
 from supneg import library, save_state
@@ -154,6 +161,94 @@ def test_measure_non_finite_file_exits_2(capsys, tmp_path, value):
     code, _, err = run_cli(capsys, "measure", "--file", str(path))
     assert code == 2
     assert "non-finite amplitudes at indices [3]" in err
+
+
+_ONE = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+_PAIRS = "amplitudes must be [re, im] pairs of numbers"
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"dims": [2, 2, 2], "amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}, _PAIRS),
+        ({"dims": 8, "amplitudes": _ONE}, "dims must be a list of integers"),
+        ({"dims": [2, 2, 2], "amplitudes": None}, _PAIRS),
+        ({"dims": [2, 2, 2], "amplitudes": [[None, 0]] + _ONE[1:]}, _PAIRS),
+        ({"dims": [2.5, 2, 2], "amplitudes": _ONE}, "dims must be a list of integers"),
+        ({"dims": [True, 2, 2], "amplitudes": _ONE}, "dims must be a list of integers"),
+    ],
+    ids=["bare-numbers", "scalar-dims", "null-amplitudes", "null-in-pair",
+         "fractional-dims", "boolean-dims"],
+)
+def test_measure_malformed_file_exits_2(capsys, tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "measure", "--file", str(path))
+    assert code == 2
+    assert message in err
+
+
+def test_bounds_bare_number_amplitudes_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": [1] + [0] * 7}))
+    code, _, err = run_cli(
+        capsys, "bounds", "--s1", str(path), "--s2", "named:w", "--p", "0.5"
+    )
+    assert code == 2
+    assert _PAIRS in err
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)
+)
+
+
+def _well_shaped_payloads():
+    """Integer dims with a matching number of [re, im] pairs of any numbers."""
+    real = st.one_of(st.integers(-2, 2), st.floats())
+    return st.lists(st.integers(2, 3), min_size=3, max_size=3).flatmap(
+        lambda d: st.fixed_dictionaries({
+            "dims": st.just(d),
+            "amplitudes": st.lists(
+                st.lists(real, min_size=2, max_size=2),
+                min_size=int(np.prod(d)), max_size=int(np.prod(d)),
+            ),
+        })
+    )
+
+
+_PAYLOADS = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.fixed_dictionaries({
+        "dims": st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4)),
+        "amplitudes": st.one_of(
+            _JSON_SCALARS,
+            st.lists(st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3)),
+                     max_size=9),
+        ),
+    }),
+    _well_shaped_payloads(),
+)
+
+
+@settings(deadline=None)
+@given(payload=_PAYLOADS)
+def test_any_state_payload_exits_0_or_2(payload):
+    # called in-process: an exception escaping main is the traceback a user sees
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "state.json")
+        Path(path).write_text(json.dumps(payload))
+        runs = (
+            ["measure", "--file", path],
+            ["bounds", "--s1", path, "--s2", "named:w", "--p", "0.5"],
+        )
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                codes = [main(argv) for argv in runs]
+    assert set(codes) <= {0, 2}
 
 
 def test_measure_csv_format(capsys):
@@ -324,10 +419,8 @@ def test_verify_degenerate_superposition_warns():
 
 
 def test_verify_detects_injected_convention_bug(capsys, tmp_path, monkeypatch):
-    original = measures.bilinear_matrix
-    monkeypatch.setattr(
-        measures, "bilinear_matrix", lambda *a, **k: 0.5 * original(*a, **k)
-    )
+    original = measures.t_matrix
+    monkeypatch.setattr(measures, "t_matrix", lambda *a, **k: 0.5 * original(*a, **k))
     out = tmp_path / "summary.json"
     code, _, err = run_cli(
         capsys, "verify", "--samples", "4", "--seed", "7", "--out", str(out)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supneg.measures as measures
-from supneg import library, oracle
+import supneg.states as states
+from supneg import library, oracle, verify
 from supneg.measures import (
     GeneratorPair,
     bilinear_form,
@@ -25,6 +26,7 @@ from supneg.measures import (
 )
 from supneg.states import (
     Bipartition,
+    PureState,
     bipartitions,
     matricize,
     new_state,
@@ -267,6 +269,54 @@ def test_dual_path_negativity_on_biseparable_and_near_product_states(dims):
             assert n_so == pytest.approx(negativity_schmidt(s, cut), abs=1e-9)
 
 
+# ------------------------------------------------------- compressed kernel
+
+
+def _dense_cross_sum(psi, phi, cut):
+    return float(np.linalg.svd(bilinear_matrix(psi, phi, cut), compute_uv=False).sum())
+
+
+def _kernel_pairs():
+    """(psi, phi) pairs of every kind the LQ-compressed cross sum must match."""
+    for dims in ([2, 2, 2], [3, 3, 3], [2, 3, 4], [4, 3, 2]):
+        a = library.haar_random(dims, 40)
+        b = library.haar_random(dims, 41)
+        yield a, a
+        yield a, b
+        for s in _biseparable_and_near_product(dims):
+            yield s, s
+            yield s, a
+        yield a, PureState(a.dims, np.exp(0.7345j) * a.amplitudes)  # rank-deficient stack
+        yield a, PureState(a.dims, a.amplitudes.copy())  # equal bytes, distinct object
+        spec = library.random_superposition_spec(dims, 42)
+        chi = spec.superposed()  # raw, unnormalized
+        yield chi, chi
+        yield chi, spec.psi2
+    degenerate = verify._degenerate_spec(7)  # near-zero-norm chi
+    chi = degenerate.superposed()
+    yield chi, chi
+    yield chi, degenerate.psi1
+
+
+def test_cross_sum_matches_dense_svd():
+    for psi, phi in _kernel_pairs():
+        for cut in bipartitions(psi):
+            assert cross_sum(psi, phi, cut) == pytest.approx(
+                _dense_cross_sum(psi, phi, cut), abs=1e-12
+            )
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
+def test_cross_sum_symmetric_exactly_on_haar_pairs(dims):
+    for seed in range(20):
+        a = library.haar_random(dims, 2 * seed)
+        b = library.haar_random(dims, 2 * seed + 1)
+        copy = PureState(a.dims, a.amplitudes.copy())
+        for cut in bipartitions(a):
+            assert cross_sum(a, b, cut) == cross_sum(b, a, cut)
+            assert cross_sum(a, copy, cut) == cross_sum(a, a, cut)
+
+
 def test_multipartite_negativity_values(ghz, w):
     assert multipartite_negativity(ghz) == pytest.approx(6.0, abs=1e-12)
     assert multipartite_negativity(w) == pytest.approx(4 * np.sqrt(2), abs=1e-12)
@@ -324,11 +374,9 @@ def test_concurrence_identity_on_haar(seed):
 
 
 def test_concurrence_detects_convention_bug(monkeypatch, ghz):
-    original = measures.bilinear_matrix
+    original = measures.t_matrix
     # a 1/sqrt(2)-per-generator convention scales every form by 1/2
-    monkeypatch.setattr(
-        measures, "bilinear_matrix", lambda *a, **k: 0.5 * original(*a, **k)
-    )
+    monkeypatch.setattr(measures, "t_matrix", lambda *a, **k: 0.5 * original(*a, **k))
     cut = Bipartition.of(ghz.dims, 0)
     with pytest.raises(ValueError, match="convention"):
         concurrence_sq(ghz, cut)
@@ -449,11 +497,13 @@ def _count_calls(monkeypatch, fn):
 
 
 def test_measure_report_is_one_pass_per_cut(monkeypatch):
-    t_builds = _count_calls(monkeypatch, measures.bilinear_matrix)
+    t_builds = _count_calls(monkeypatch, measures.t_matrix)
     jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
+    reshapes = _count_calls(monkeypatch, states.matricize)
     measure_report(library.haar_random([3, 3, 3], 5))
     assert len(t_builds) == 3  # one T per cut
     assert len(jacobi_calls) == 0  # the Jacobi solver serves the oracle only
+    assert len(reshapes) == 6  # per cut: one for the Schmidt SVD, one for T
 
 
 def test_measure_report_diagnostics(ghz):

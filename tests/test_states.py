@@ -67,6 +67,12 @@ def test_new_state_rejects_dimension_one():
         new_state([1, 2, 2], np.ones(4))
 
 
+@pytest.mark.parametrize("dims", [[2.5, 2, 2], [2.0, 2, 2], [True, 2, 2], 8, "222"])
+def test_new_state_rejects_non_integer_dims(dims):
+    with pytest.raises(ValueError, match="dims must be a list of integers"):
+        new_state(dims, [1.0] + [0.0] * 7)
+
+
 def test_amplitudes_are_immutable():
     s = basis_state(0)
     with pytest.raises(ValueError):
