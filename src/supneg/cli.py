@@ -104,8 +104,7 @@ def _ensure_normalized(state: PureState, origin: str) -> PureState:
         f"state from {origin!r} has squared norm {state.norm_sq!r}; normalizing",
         stacklevel=2,
     )
-    normalized, _ = normalize(state)
-    return normalized
+    return normalize(state)[0]
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -9,12 +9,13 @@ their streams by deriving per-sample seeds as ``seed XOR index``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .states import Bipartition, PureState, new_state
+from .states import Bipartition, PureState, new_state, validate_dims
 
 if TYPE_CHECKING:
     from .bounds import SuperpositionSpec
@@ -32,12 +33,10 @@ def _haar_vec(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def ghz(d: int = 2) -> PureState:
     """Equal superposition of |iii> over i < d, for qudits of dimension d."""
-    if d < 2:
-        raise ValueError(f"GHZ requires subsystem dimension >= 2, got {d}")
-    amps = np.zeros(d**3, dtype=complex)
-    for i in range(d):
-        amps[(i * d + i) * d + i] = 1.0
-    return new_state([d, d, d], amps / np.sqrt(d))
+    dims = validate_dims([d, d, d])
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    amps[:: d * d + d + 1] = 1.0  # |iii> sits at index (i d + i) d + i
+    return new_state(dims, amps / np.sqrt(d))
 
 
 def w_state() -> PureState:
@@ -77,8 +76,8 @@ def z_family(params: ZFamilyParams) -> "SuperpositionSpec":
 
 def haar_random(dims: Sequence[int], seed: int) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
-    dims = tuple(int(d) for d in dims)
-    return new_state(dims, _haar_vec(_rng(seed), int(np.prod(dims))))
+    dims = validate_dims(dims)
+    return new_state(dims, _haar_vec(_rng(seed), math.prod(dims)))
 
 
 def random_superposition_spec(dims: Sequence[int], seed: int) -> "SuperpositionSpec":
@@ -89,9 +88,9 @@ def random_superposition_spec(dims: Sequence[int], seed: int) -> "SuperpositionS
     """
     from .bounds import SuperpositionSpec  # import here: bounds imports this module
 
-    dims = tuple(int(d) for d in dims)
+    dims = validate_dims(dims)
     rng = _rng(seed)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     psi1 = PureState(dims, _haar_vec(rng, n))
     psi2 = PureState(dims, _haar_vec(rng, n))
     coeffs = _haar_vec(rng, 2)
@@ -122,12 +121,12 @@ def random_biseparable(cut: Bipartition, dims: Sequence[int], seed: int) -> Pure
     Product across the chosen cut by construction; the complement factor is
     generically entangled within itself, so the other two cuts stay entangled.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = validate_dims(dims)
     if len(dims) != 3:
         raise ValueError("random_biseparable is defined for tripartite states")
     rng = _rng(seed)
     rest = [d for k, d in enumerate(dims) if k != cut.kept]
     kept_vec = _haar_vec(rng, dims[cut.kept])
-    rest_vec = _haar_vec(rng, int(np.prod(rest)))
+    rest_vec = _haar_vec(rng, math.prod(rest))
     m = np.outer(kept_vec, rest_vec).reshape([dims[cut.kept]] + rest)
     return PureState(dims, np.moveaxis(m, 0, cut.kept).reshape(-1))

@@ -248,16 +248,16 @@ class BiseparabilityReport:
     tol: float
 
 
-def is_biseparable(state: PureState, tol: float = BISEPARABLE_TOL) -> BiseparabilityReport:
-    """Flag each cut as product (negativity <= tol) and the state as biseparable.
+def is_biseparable(state: PureState) -> BiseparabilityReport:
+    """Flag cuts with negativity <= BISEPARABLE_TOL as product; biseparable if any.
 
     For pure states a cut is product iff its negativity vanishes iff its
     Schmidt rank is 1; the flags below use the negativity test.
     """
     negs = tuple(negativity_so(state, cut) for cut in bipartitions(state))
-    flags = tuple(n <= tol for n in negs)
+    flags = tuple(n <= BISEPARABLE_TOL for n in negs)
     return BiseparabilityReport(
-        separable=flags, biseparable=any(flags), negativities=negs, tol=tol
+        separable=flags, biseparable=any(flags), negativities=negs, tol=BISEPARABLE_TOL
     )
 
 

@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 DEFAULT_MAX_DIM = 256
 
 HERMITICITY_TOL = 1e-10
+JACOBI_REL_TOL = 1e-12  # off-diagonal Frobenius norm over the matrix's, at convergence
+JACOBI_MAX_SWEEPS = 100
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -70,16 +72,12 @@ def _check_hermitian(a: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
-def hermitian_eigenvalues(
-    matrix: np.ndarray,
-    rel_tol: float = 1e-12,
-    max_sweeps: int = 100,
-) -> np.ndarray:
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix, descending.
 
     Cyclic Jacobi with complex plane rotations: each (p, q) element is
     phased real and annihilated by a 2x2 rotation.  Converged when the
-    off-diagonal Frobenius norm drops below ``rel_tol`` times the matrix
+    off-diagonal Frobenius norm drops below ``JACOBI_REL_TOL`` times the matrix
     Frobenius norm.  Robustness over speed -- intended for the <= 256
     dimensional matrices this package produces.
     """
@@ -95,7 +93,7 @@ def hermitian_eigenvalues(
         return np.sort(np.diag(a).real)[::-1].copy()
 
     # rotating entries this small cannot help convergence, only cost time
-    skip = rel_tol * scale / (n * n)
+    skip = JACOBI_REL_TOL * scale / (n * n)
 
     def _off_norm() -> float:
         # summed directly over off-diagonal entries: the ||A||^2 - ||diag||^2
@@ -104,8 +102,8 @@ def hermitian_eigenvalues(
         np.fill_diagonal(off, 0.0)
         return float(np.linalg.norm(off))
 
-    for sweep in range(max_sweeps):
-        if _off_norm() <= rel_tol * scale:
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        if _off_norm() <= JACOBI_REL_TOL * scale:
             return np.sort(np.diag(a).real)[::-1].copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -136,9 +134,9 @@ def hermitian_eigenvalues(
                 a[q, q] = a[q, q].real
 
     residual = _off_norm()
-    if residual <= rel_tol * scale:
+    if residual <= JACOBI_REL_TOL * scale:
         return np.sort(np.diag(a).real)[::-1].copy()
-    raise JacobiConvergenceError(residual, max_sweeps)
+    raise JacobiConvergenceError(residual, JACOBI_MAX_SWEEPS)
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -146,11 +144,7 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.abs(hermitian_eigenvalues(matrix)).sum())
 
 
-def negativity_pt_oracle(
-    state: "PureState",
-    cut: "Bipartition",
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> float:
+def negativity_pt_oracle(state: "PureState", cut: "Bipartition") -> float:
     """Negativity as trace norm of the partial transpose, minus one.
 
     The fully dense reference path: outer product, axis-swap partial
@@ -158,7 +152,7 @@ def negativity_pt_oracle(
     Schmidt evaluations beyond the input amplitudes; they use LAPACK SVDs,
     and only this module calls the Jacobi solver.
     """
-    rho = density_matrix(state, max_dim=max_dim)
+    rho = density_matrix(state)
     rho_pt = partial_transpose(rho, state.dims, cut.kept)
     eigs = hermitian_eigenvalues(rho_pt)
     return float(np.abs(eigs).sum() - 1.0)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +22,20 @@ ZERO_NORM_TOL = 1e-14  # vectors shorter than this count as the zero vector
 COEFF_TOL = 1e-10  # tolerance on |a1|^2 + |a2|^2 = 1 for superpositions
 
 _CUT_NAMES = ("A|BC", "B|AC", "C|AB")
+
+
+def validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """Dims as a tuple of integers >= 2, else ValueError: no bool, 2.0 or str."""
+    if (
+        isinstance(dims, (str, bytes))
+        or not isinstance(dims, (Sequence, np.ndarray))
+        or any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims)
+    ):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
+    dims = tuple(map(operator.index, dims))
+    if any(d < 2 for d in dims):
+        raise ValueError(f"all subsystem dimensions must be >= 2, got {dims}")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -36,7 +50,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = validate_dims(self.dims)
         amps = np.array(self.amplitudes, dtype=complex)  # a copy: never alias the caller
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a flat vector")
@@ -86,16 +100,12 @@ class Bipartition:
 
     @classmethod
     def of(cls, dims: Sequence[int], kept: int) -> "Bipartition":
-        dims = tuple(int(d) for d in dims)
+        dims = validate_dims(dims)
         if len(dims) != 3:
             raise ValueError("bipartitions are defined for tripartite states")
         if not 0 <= kept < 3:
             raise ValueError(f"kept subsystem must be 0, 1 or 2, got {kept}")
-        col = 1
-        for k, d in enumerate(dims):
-            if k != kept:
-                col *= d
-        return cls(kept=kept, row_dim=dims[kept], col_dim=col)
+        return cls(kept=kept, row_dim=dims[kept], col_dim=math.prod(dims) // dims[kept])
 
     @property
     def label(self) -> str:
@@ -126,21 +136,11 @@ class SchmidtSpectrum:
 def new_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     """Build a state from raw amplitudes without normalizing.
 
-    Rejects dims that are not a sequence of integers (a boolean or a float
-    such as 2.0 is not one), subsystem dimensions below 2, length mismatches,
-    non-finite amplitudes and the zero vector.  Superposition outputs bypass
-    this constructor so that their possibly vanishing norm stays representable.
+    Adds to ``PureState``'s dims and length checks: rejects non-finite
+    amplitudes and the zero vector.  Superposition outputs bypass this
+    constructor so that their possibly vanishing norm stays representable.
     """
-    if (
-        isinstance(dims, (str, bytes))
-        or not isinstance(dims, (Sequence, np.ndarray))
-        or any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims)
-    ):
-        raise ValueError(f"dims must be a list of integers, got {dims!r}")
-    dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise ValueError(f"all subsystem dimensions must be >= 2, got {dims}")
-    state = PureState(dims, np.asarray(amplitudes, dtype=complex))
+    state = PureState(dims, amplitudes)
     bad = np.flatnonzero(~np.isfinite(state.amplitudes))
     if bad.size:
         raise ValueError(f"non-finite amplitudes at indices {bad.tolist()}")
@@ -150,16 +150,23 @@ def new_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
 
 
 def require_normalized(state: PureState, what: str) -> None:
-    """Raise unless ``state`` has unit norm to within 1e-10."""
-    if abs(state.norm_sq - 1.0) > 1e-10:
+    """Raise unless ``state.is_normalized`` (unit norm to within NORMALIZED_TOL)."""
+    if not state.is_normalized:
         raise ValueError(f"{what} requires a normalized state")
 
 
 def normalize(state: PureState) -> tuple[PureState, float]:
-    """Scale to unit norm; returns (normalized state, original squared norm)."""
+    """Scale to unit norm; returns (normalized state, original squared norm).
+
+    Amplitudes above ~1e154 overflow the squared norm, returned as inf; such
+    a vector is scaled by its largest modulus before it is normalized.
+    """
     norm_sq = state.norm_sq
     if np.sqrt(norm_sq) < ZERO_NORM_TOL:
         raise ValueError("cannot normalize a (near-)zero vector")
+    if not math.isfinite(norm_sq):
+        big = state.amplitudes / np.abs(state.amplitudes).max()
+        return PureState(state.dims, big / np.linalg.norm(big)), math.inf
     return PureState(state.dims, state.amplitudes / np.sqrt(norm_sq)), norm_sq
 
 

@@ -100,7 +100,7 @@ def _sandwiches(i: int, seed: int) -> tuple[tuple[float, float], dict]:
 
 
 def _lemma(i: int, seed: int) -> tuple[tuple[float], dict]:
-    rng = np.random.Generator(np.random.Philox(key=(seed ^ i) & (2**64 - 1)))
+    rng = library._rng(seed ^ i)
     b, c, d = rng.uniform(1e-6, 10.0, size=(3, 3))
     upper, lower = bounds.min_combine_slack(b, c, d)
     inputs = {"sample": i, "b": list(b), "c": list(c), "d": list(d)}

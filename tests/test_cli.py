@@ -163,6 +163,36 @@ def test_measure_non_finite_file_exits_2(capsys, tmp_path, value):
     assert "non-finite amplitudes at indices [3]" in err
 
 
+_HUGE = [
+    [1e200, 0], [1e199, 0], [0, 3e199], [2e199, -1e199],
+    [0, 0], [5e198, 0], [0, 0], [1e199, 1e199],
+]
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        return [v for k in sorted(x) for v in _leaves(x[k])]
+    if isinstance(x, list):
+        return [v for item in x for v in _leaves(item)]
+    return [x]
+
+
+def test_measure_huge_finite_amplitudes_exits_0(capsys, tmp_path):
+    # the squared norm overflows; the measures are those of the normalized state
+    reports = []
+    for scale in (1.0, 1e200):
+        path = tmp_path / f"state_{scale:g}.json"
+        amps = [[re / scale, im / scale] for re, im in _HUGE]
+        path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": amps}))
+        with pytest.warns(UserWarning, match="normalizing"):
+            code, out, err = run_cli(capsys, "measure", "--file", str(path))
+        assert code == 0, err
+        reports.append(json.loads(out))
+    huge, unit = reports
+    assert huge.keys() == unit.keys()
+    np.testing.assert_allclose(_leaves(huge), _leaves(unit), rtol=0, atol=1e-12)
+
+
 _ONE = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
 _PAIRS = "amplitudes must be [re, im] pairs of numbers"
 

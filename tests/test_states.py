@@ -73,6 +73,31 @@ def test_new_state_rejects_non_integer_dims(dims):
         new_state(dims, [1.0] + [0.0] * 7)
 
 
+_DIMS_CONSTRUCTORS = {
+    "PureState": lambda dims, n: PureState(dims, np.ones(n) / np.sqrt(n)),
+    "new_state": lambda dims, n: new_state(dims, np.ones(n) / np.sqrt(n)),
+    "Bipartition.of": lambda dims, n: Bipartition.of(dims, 0),
+    "haar_random": lambda dims, n: library.haar_random(dims, 1),
+    "random_superposition_spec": lambda dims, n: library.random_superposition_spec(dims, 3),
+    "random_biseparable": lambda dims, n: library.random_biseparable(
+        Bipartition.of([2, 2, 2], 0), dims, 3
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [[2.5, 2, 2], [2.0, 2, 2], [True, 2, 2], [1, 2, 2]],
+    ids=["fractional", "float", "boolean", "one"],
+)
+@pytest.mark.parametrize("build", list(_DIMS_CONSTRUCTORS))
+def test_every_constructor_rejects_bad_dims(build, dims):
+    # amplitudes sized for the dims an int(d) cast would make of them
+    n = int(np.prod([int(d) for d in dims]))
+    with pytest.raises(ValueError):
+        _DIMS_CONSTRUCTORS[build](dims, n)
+
+
 def test_amplitudes_are_immutable():
     s = basis_state(0)
     with pytest.raises(ValueError):
@@ -93,6 +118,22 @@ def test_normalize_idempotent_on_ghz(ghz):
     out, norm_sq = normalize(ghz)
     assert norm_sq == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(out.amplitudes, ghz.amplitudes)
+
+
+def test_normalize_huge_finite_amplitudes():
+    # |a|^2 overflows above ~1e154; the state still normalizes
+    amps = np.array(
+        [1e200, 1e199, 3e199j, 2e199 - 1e199j, 0, 5e198, 0, 1e199 + 1e199j]
+    )
+    out, norm_sq = normalize(PureState((2, 2, 2), amps))
+    assert norm_sq == np.inf
+    assert out.is_normalized
+    small = PureState((2, 2, 2), amps / 1e200)
+    ref, _ = normalize(small)
+    np.testing.assert_allclose(out.amplitudes, ref.amplitudes, rtol=0, atol=1e-15)
+    # a finite squared norm is divided out directly, bit for bit
+    direct = small.amplitudes / np.sqrt(small.norm_sq)
+    assert ref.amplitudes.tobytes() == direct.tobytes()
 
 
 def test_normalize_parallel_superposition(ghz):
@@ -339,3 +380,15 @@ def test_states_imports_nothing_from_oracle():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not [name for name in imported if "oracle" in name]
+
+
+def test_only_the_oracle_casts_dims_with_int():
+    # states.validate_dims is the one dims check: int(d) would cut 2.5 down to 2;
+    # the oracle stays independent of states and keeps its own cast
+    src = Path(supneg.states.__file__).parent
+    offenders = [
+        p.name
+        for p in sorted(src.glob("*.py"))
+        if p.name != "oracle.py" and "int(d) for d in" in p.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
