@@ -48,6 +48,7 @@ from .measures import (
 from .oracle import (
     density_matrix,
     hermitian_eigenvalues,
+    negativities_pt_oracle,
     negativity_pt_oracle,
     partial_transpose,
     trace_norm,

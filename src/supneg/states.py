@@ -65,7 +65,12 @@ class PureState:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        """Squared norm; ``inf`` when finite amplitudes overflow it."""
+        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        if math.isfinite(norm_sq):
+            return norm_sq
+        # complex products of huge amplitudes form inf - inf, so vdot reads nan
+        return math.inf if np.isfinite(self.amplitudes).all() else norm_sq
 
     @property
     def is_normalized(self) -> bool:

@@ -1,9 +1,12 @@
 """Property harness: seeded checks of the fast paths and the bounds.
 
-``CHECKS`` is a table of per-sample functions.  Each takes the sample index
-and the run seed and returns one violation per check name it produces plus
-the inputs that replay the sample; sample ``i`` draws from its own stream
-keyed by ``seed ^ i``, so results do not depend on evaluation order.
+``CHECKS`` is a table of block checks.  Each takes the sample count and the
+run seed and returns one row per sample: one violation per check name it
+produces, plus the inputs that replay the sample.  Sample ``i`` draws from
+its own stream keyed by ``seed ^ i``, so results do not depend on how the
+samples are grouped; a block check can therefore batch work across its
+samples, as the dual-path check does with the Jacobi oracle.  Checks that
+have nothing to batch are written per sample and lifted by ``_per_sample``.
 A check passes when its largest violation over the samples is within
 tolerance; a failing check keeps the inputs of its worst sample.
 """
@@ -28,13 +31,23 @@ class CheckResult:
     samples: int
     max_violation: float
     passed: bool
+    worst_sample: int
+    margin: float  # tolerance minus max_violation; negative when failing
     worst: dict | None = None
+
+
+Row = tuple[tuple[float, ...], dict]  # (violation per check name, replay inputs)
 
 
 class Check(NamedTuple):
     names: tuple[str, ...]
-    sample: Callable[[int, int], tuple[tuple[float, ...], dict]]
+    rows: Callable[[int, int], list[Row]]  # (samples, seed) -> one row per sample
     tol: float | None = None  # None: the tolerance the run was given
+
+
+def _per_sample(sample: Callable[[int, int], Row]) -> Callable[[int, int], list[Row]]:
+    """Lift a check of sample ``i`` to the block signature."""
+    return lambda samples, seed: [sample(i, seed) for i in range(samples)]
 
 
 def _sample_dims(index: int) -> list[int]:
@@ -46,18 +59,23 @@ def _haar_sample(i: int, seed: int) -> tuple[PureState, dict]:
     return state, {"sample": i, "state": state.to_dict()}
 
 
-def _dual_path(i: int, seed: int) -> tuple[tuple[float], dict]:
-    state, inputs = _haar_sample(i, seed)
-    worst = 0.0
-    for cut in bipartitions(state):
-        n_so = measures.negativity_so(state, cut)
-        n_pt = oracle.negativity_pt_oracle(state, cut)
-        n_sch = measures.negativity_schmidt(state, cut)
-        worst = max(worst, abs(n_so - n_pt), abs(n_so - n_sch))
-    return (worst,), inputs
+def _dual_path(samples: int, seed: int) -> list[Row]:
+    # one oracle call for every sample's cuts: the Jacobi solve is stacked
+    draws = [_haar_sample(i, seed) for i in range(samples)]
+    pairs = [(state, cut) for state, _ in draws for cut in bipartitions(state)]
+    n_pt = iter(oracle.negativities_pt_oracle(pairs))
+    rows = []
+    for state, inputs in draws:
+        worst = 0.0
+        for cut in bipartitions(state):
+            n_so = measures.negativity_so(state, cut)
+            n_sch = measures.negativity_schmidt(state, cut)
+            worst = max(worst, abs(n_so - next(n_pt)), abs(n_so - n_sch))
+        rows.append(((worst,), inputs))
+    return rows
 
 
-def _concurrence_identity(i: int, seed: int) -> tuple[tuple[float], dict]:
+def _concurrence_identity(i: int, seed: int) -> Row:
     state, inputs = _haar_sample(i, seed)
     # the non-raising paths, so a broken convention is a measured violation
     worst = 0.0
@@ -76,7 +94,7 @@ def _degenerate_spec(seed: int) -> bounds.SuperpositionSpec:
     return bounds.SuperpositionSpec(a1, a2, psi, psi2)
 
 
-def _sandwiches(i: int, seed: int) -> tuple[tuple[float, float], dict]:
+def _sandwiches(i: int, seed: int) -> Row:
     # sample 0 exercises the documented degenerate parallel superposition
     if i == 0:
         spec = _degenerate_spec(seed)
@@ -99,7 +117,7 @@ def _sandwiches(i: int, seed: int) -> tuple[tuple[float, float], dict]:
     return (max(v1, 0.0), max(v2, 0.0)), {"sample": i, "spec": payload}
 
 
-def _lemma(i: int, seed: int) -> tuple[tuple[float], dict]:
+def _lemma(i: int, seed: int) -> Row:
     rng = library._rng(seed ^ i)
     b, c, d = rng.uniform(1e-6, 10.0, size=(3, 3))
     upper, lower = bounds.min_combine_slack(b, c, d)
@@ -107,24 +125,24 @@ def _lemma(i: int, seed: int) -> tuple[tuple[float], dict]:
     return (max(0.0, -upper, -lower),), inputs
 
 
-def _biseparable(i: int, seed: int) -> tuple[tuple[float], dict]:
+def _biseparable(i: int, seed: int) -> Row:
     dims = _sample_dims(i)
     state = library.random_biseparable(Bipartition.of(dims, i % 3), dims, seed ^ i)
     return (measures.gme_negativity(state),), {"sample": i, "state": state.to_dict()}
 
 
-def _haar_gme_positive(i: int, seed: int) -> tuple[tuple[float], dict]:
+def _haar_gme_positive(i: int, seed: int) -> Row:
     state, inputs = _haar_sample(i, seed)
     return (max(0.0, HAAR_GME_FLOOR - measures.gme_negativity(state)),), inputs
 
 
 CHECKS = (
     Check(("dual_path_negativity",), _dual_path),
-    Check(("concurrence_identity",), _concurrence_identity),
-    Check(("t1_sandwich", "t2_sandwich"), _sandwiches),
-    Check(("min_combine_lemma",), _lemma),
-    Check(("biseparable_gme_zero",), _biseparable),
-    Check(("haar_gme_positive",), _haar_gme_positive, tol=0.0),
+    Check(("concurrence_identity",), _per_sample(_concurrence_identity)),
+    Check(("t1_sandwich", "t2_sandwich"), _per_sample(_sandwiches)),
+    Check(("min_combine_lemma",), _per_sample(_lemma)),
+    Check(("biseparable_gme_zero",), _per_sample(_biseparable)),
+    Check(("haar_gme_positive",), _per_sample(_haar_gme_positive), tol=0.0),
 )
 
 
@@ -132,19 +150,25 @@ def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckRes
     """Run every property check; returns (summary dict, individual results)."""
     results = []
     for check in CHECKS:
-        rows = [check.sample(i, seed) for i in range(samples)]
+        rows = check.rows(samples, seed)
         limit = tol if check.tol is None else check.tol
         for k, name in enumerate(check.names):
             worst = max(range(samples), key=lambda i: rows[i][0][k])
             violation = float(rows[worst][0][k])
             passed = violation <= limit
             inputs = None if passed else rows[worst][1]
-            results.append(CheckResult(name, samples, violation, passed, inputs))
+            results.append(
+                CheckResult(
+                    name, samples, violation, passed, worst, limit - violation, inputs
+                )
+            )
     summary = {
         c.name: {
             "samples": c.samples,
             "max_violation": c.max_violation,
             "pass": c.passed,
+            "worst_sample": c.worst_sample,
+            "margin": c.margin,
         }
         for c in results
     }

@@ -193,6 +193,19 @@ def test_measure_huge_finite_amplitudes_exits_0(capsys, tmp_path):
     np.testing.assert_allclose(_leaves(huge), _leaves(unit), rtol=0, atol=1e-12)
 
 
+def test_measure_huge_finite_amplitudes_warning_names_inf(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": _HUGE}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "supneg.cli", "measure", "--file", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "has squared norm inf; normalizing" in proc.stderr
+    assert "squared norm nan" not in proc.stderr
+
+
 _ONE = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
 _PAIRS = "amplitudes must be [re, im] pairs of numbers"
 
@@ -467,6 +480,29 @@ def test_verify_detects_injected_convention_bug(capsys, tmp_path, monkeypatch):
         "state"
     ]["dims"] == [3, 3, 3]
     assert "dual_path_negativity" in err
+
+
+def test_verify_reports_worst_sample_and_margin(capsys, tmp_path, monkeypatch):
+    original = measures.t_matrix
+    monkeypatch.setattr(measures, "t_matrix", lambda *a, **k: 0.5 * original(*a, **k))
+    out = tmp_path / "summary.json"
+    tol = 1e-9
+    code, _, _ = run_cli(
+        capsys, "verify", "--samples", "4", "--seed", "7", "--tol", str(tol),
+        "--out", str(out),
+    )
+    assert code == 1
+    summary = json.loads(out.read_text())
+    for name, entry in summary.items():
+        limit = 0.0 if name == "haar_gme_positive" else tol
+        assert entry["margin"] == limit - entry["max_violation"]
+        assert entry["worst_sample"] in range(4)
+    entry = summary["dual_path_negativity"]
+    assert entry["margin"] < 0
+    replay = json.loads(
+        (tmp_path / "supneg_violation_dual_path_negativity.json").read_text()
+    )
+    assert entry["worst_sample"] == replay["inputs"]["sample"]
 
 
 def test_verify_rejects_zero_samples(capsys):

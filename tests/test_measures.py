@@ -506,6 +506,15 @@ def test_measure_report_is_one_pass_per_cut(monkeypatch):
     assert len(reshapes) == 6  # per cut: one for the Schmidt SVD, one for T
 
 
+def test_verify_is_one_jacobi_solve_per_total_dimension(monkeypatch):
+    jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        verify.run_verify(samples=8, seed=42, tol=1e-9)
+    # the samples' partial transposes are 8x8 or 27x27: one stacked solve each
+    assert len(jacobi_calls) <= 2
+    assert {args[0].shape[1:] for args in jacobi_calls} == {(8, 8), (27, 27)}
+
+
 def test_measure_report_diagnostics(ghz):
     diag = measure_report(ghz).diagnostics
     assert diag["c_gme_unit_prefactor"] == pytest.approx(1 / np.sqrt(2), abs=1e-12)

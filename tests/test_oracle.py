@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from supneg import library
+from supneg import library, oracle
 from supneg.oracle import (
     JacobiConvergenceError,
     density_matrix,
     hermitian_eigenvalues,
+    negativities_pt_oracle,
     negativity_pt_oracle,
     partial_transpose,
     trace_norm,
 )
-from supneg.states import bipartitions, new_state
+from supneg.states import Bipartition, bipartitions, new_state, normalize
 
 S2 = 1 / np.sqrt(2)
 
@@ -157,6 +158,82 @@ def test_trace_norm_matches_abs_spectrum():
     assert trace_norm(h) == pytest.approx(5.5)
 
 
+# ------------------------------------------------------------ stacked solver
+
+
+def _states(dims):
+    """Haar, biseparable and near-product states of one shape."""
+    for seed in range(2):
+        yield library.haar_random(dims, seed)
+        for kept in range(3):
+            key = 10 * kept + seed
+            s = library.random_biseparable(Bipartition.of(dims, kept), dims, key)
+            yield s
+            noise = library.haar_random(dims, 1000 + key).amplitudes
+            yield normalize(new_state(dims, s.amplitudes + 1e-4 * noise))[0]
+
+
+def _pt_stack(dims):
+    mats = []
+    for s in _states(dims):
+        rho = density_matrix(s)
+        mats += [partial_transpose(rho, s.dims, cut.kept) for cut in bipartitions(s)]
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
+def test_stack_matches_each_matrix_bit_for_bit(dims):
+    stack = _pt_stack(dims)
+    eigs = hermitian_eigenvalues(stack)
+    assert eigs.shape == stack.shape[:2]
+    for mat, ev in zip(stack, eigs):
+        assert hermitian_eigenvalues(mat).tobytes() == ev.tobytes()
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
+def test_stack_agrees_with_lapack(dims):
+    stack = _pt_stack(dims)
+    lapack = np.linalg.eigvalsh(stack)[:, ::-1]
+    np.testing.assert_allclose(hermitian_eigenvalues(stack), lapack, rtol=0, atol=1e-13)
+
+
+def test_mixed_stack_and_one_by_one_stacks():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5))
+    dense = (z + z.conj().swapaxes(1, 2)) / 2
+    stack = np.stack([np.zeros((5, 5)), np.diag([1.0, -2.0, 0.0, 3.0, 0.5]), *dense])
+    eigs = hermitian_eigenvalues(stack)
+    np.testing.assert_array_equal(eigs[0], np.zeros(5))
+    np.testing.assert_array_equal(eigs[1], [3.0, 1.0, 0.5, 0.0, -2.0])
+    np.testing.assert_allclose(
+        eigs[2:], np.linalg.eigvalsh(dense)[:, ::-1], rtol=0, atol=1e-13
+    )
+    ones = np.array([[[2.0]], [[-1.0]], [[0.0]]])
+    np.testing.assert_array_equal(hermitian_eigenvalues(ones), [[2.0], [-1.0], [0.0]])
+    np.testing.assert_array_equal(hermitian_eigenvalues(np.array([[4.0]])), [4.0])
+
+
+def test_stack_rejects_one_non_hermitian_member():
+    stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.eye(3)]).astype(complex)
+    stack[1, 0, 2] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (4,), (2, 2, 2, 2)])
+def test_stack_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros(shape))
+
+
+def test_sweep_cap_raises_on_a_dense_stack(monkeypatch):
+    monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(JacobiConvergenceError) as err:
+        hermitian_eigenvalues(_pt_stack([2, 2, 2]))
+    assert err.value.sweeps == 1
+    assert err.value.residual > 0
+
+
 # ---------------------------------------------------------------- PT oracle
 
 
@@ -189,3 +266,17 @@ def test_pt_spectrum_identities(seed):
         neg_part = float(-ev[ev < 0].sum())
         n = negativity_pt_oracle(s, cut)
         assert neg_part == pytest.approx(n / 2, abs=1e-9)
+
+
+def test_batched_oracle_matches_single_pairs_in_order():
+    pairs = [
+        (s, cut)
+        for dims in ([3, 3, 3], [2, 2, 2], [2, 3, 4], [4, 3, 2])
+        for s in list(_states(dims))[:3]
+        for cut in bipartitions(s)
+    ]
+    batched = negativities_pt_oracle(pairs)
+    assert batched.shape == (len(pairs),)
+    for (s, cut), n in zip(pairs, batched):
+        assert negativity_pt_oracle(s, cut) == n
+    assert negativities_pt_oracle([]).shape == (0,)

@@ -136,6 +136,17 @@ def test_normalize_huge_finite_amplitudes():
     assert ref.amplitudes.tobytes() == direct.tobytes()
 
 
+def test_norm_sq_overflow_reads_inf_not_nan():
+    # complex products of 1e200 amplitudes form inf - inf inside vdot
+    amps = np.array(
+        [1e200, 1e199, 3e199j, 2e199 - 1e199j, 0, 5e198, 0, 1e199 + 1e199j]
+    )
+    assert PureState((2, 2, 2), amps).norm_sq == np.inf
+    small = amps / 1e200
+    expected = float(np.vdot(small, small).real)
+    assert PureState((2, 2, 2), small).norm_sq == expected  # finite: same bytes
+
+
 def test_normalize_parallel_superposition(ghz):
     # <chi|chi> = |a1 + a2|^2 for identical components
     chi = superpose(S2, ghz, S2, ghz)
