@@ -29,6 +29,7 @@ reduction has a fixed order, so identical inputs give bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -109,6 +110,15 @@ def bilinear_form(
     )
 
 
+@lru_cache(maxsize=64)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator pairs i < j of range(n), lexicographic; read-only, as cached."""
+    pairs = np.triu_indices(n, 1)
+    for side in pairs:
+        side.setflags(write=False)
+    return pairs
+
+
 def t_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """T(p, q) = C2(p + q) - C2(p) - C2(q) for two same-shape arrays.
 
@@ -116,8 +126,8 @@ def t_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p[i,k] q[j,l] + q[i,k] p[j,l] - p[i,l] q[j,k] - q[i,l] p[j,k], grouped so
     that swapping p and q gives the same matrix bit for bit.
     """
-    ri, rj = np.triu_indices(p.shape[0], 1)
-    ci, cj = np.triu_indices(p.shape[1], 1)
+    ri, rj = _pair_indices(p.shape[0])
+    ci, cj = _pair_indices(p.shape[1])
     pi, pj = p[ri], p[rj]
     qi, qj = q[ri], q[rj]
     return (pi[:, ci] * qj[:, cj] + qi[:, ci] * pj[:, cj]) - (

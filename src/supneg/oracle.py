@@ -9,9 +9,12 @@ that the fast paths are certified against.
 The solver takes a stack of matrices and rotates all of them at once, with
 each matrix's own scale and convergence test, so ``negativities_pt_oracle``
 certifies a whole batch of (state, cut) pairs in one solve per total
-dimension.  Jacobi stays the accuracy reference (Demmel & Veselic, SIAM J.
-Matrix Anal. Appl. 13, 1992); the stack only removes per-matrix Python
-overhead.
+dimension.  A sweep is a round-robin (circle method) ordering in the manner
+of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985): each round rotates
+floor(n/2) disjoint pairs together, on a batch-last ``(n, n, k)`` working
+copy of the stack whose row and column gathers are contiguous.  Jacobi stays
+the accuracy reference (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
+1992); the ordering and the stack only remove Python-level steps.
 """
 
 from __future__ import annotations
@@ -87,88 +90,164 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
+def _rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep of the round-robin (circle method) ordering for n indices.
+
+    Each round is a pair of index arrays ``(P, Q)``, ``P < Q`` elementwise,
+    whose pairs are disjoint; the n(n-1)/2 pairs appear once per sweep, in
+    n - 1 rounds for even n and n for odd n (the partner of a padded dummy
+    index sits the round out).
+    """
+    m = n + n % 2  # odd n is padded with a dummy index n
+    seats = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = sorted(
+            (min(i, j), max(i, j))
+            for i, j in zip(seats[: m // 2], seats[::-1])
+            if max(i, j) < n
+        )
+        p, q = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        rounds.append((p, q))
+        # circle method: seat 0 stays put, every other index moves one seat on
+        seats[1:] = seats[-1:] + seats[1:-1]
+    return rounds
+
+
+def _mix(x, y, c, t, g01, g11, out) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``c x + g01 y`` and ``s x + g11 y``, with ``s x`` as ``t (c x)``.
+
+    x and y are scratch gathers and are consumed; the results land in
+    ``out`` and ``y``, so a round needs three scratch buffers, not four.
+    """
+    np.multiply(y, g01, out=out)
+    y *= g11
+    x *= c
+    out += x
+    x *= t
+    y += x
+    return out, y
+
+
+def _rotate_round(
+    a: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    skip: np.ndarray,
+    scratch: list[np.ndarray],
+) -> None:
+    """Annihilate every a[p_i, q_i] of one round on the stack ``(n, n, k)``.
+
+    The pairs are disjoint and each angle reads only a_pp, a_qq and a_pq,
+    which the round's other rotations do not touch; so all angles come from
+    the current matrices, then every row update, then every column update.
+    A pair at or below its matrix's ``skip`` gets the identity rotation and
+    keeps its 2x2 block.  Everything is elementwise per matrix.  The three
+    ``scratch`` buffers hold at least ``p.size * n * k`` entries each; the
+    row and column gathers go there, so a round allocates nothing large.
+    """
+    apq = a[p, q]
+    mag = np.abs(apq)
+    hit = mag > skip
+    if not hit.any():
+        return
+    mag = np.where(hit, mag, 1.0)
+    w = np.where(hit, apq / mag, 1.0)
+    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+    t = np.where(
+        tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
+    )
+    t = np.where(hit, t, 0.0)
+    c = 1.0 / np.hypot(1.0, t)
+    s = t * c
+    # V = phase * rotation; rows mix with V^dagger = [[c, -s w], [s, c w]],
+    # columns with V
+    g01, g11 = -(s * w), c * w
+
+    n, _, k = a.shape
+    size = p.size * n * k
+    x, y, out = (b[:size].reshape(p.size, n, k) for b in scratch)
+    # the indices are in range; mode="raise" would buffer the out= copy
+    np.take(a, p, axis=0, out=x, mode="clip")
+    np.take(a, q, axis=0, out=y, mode="clip")
+    a[p], a[q] = _mix(x, y, c[:, None], t[:, None], g01[:, None], g11[:, None], out)
+    x, y, out = (b[:size].reshape(n, p.size, k) for b in scratch)
+    np.take(a, p, axis=1, out=x, mode="clip")
+    np.take(a, q, axis=1, out=y, mode="clip")
+    a[:, p], a[:, q] = _mix(x, y, c, t, np.conj(g01), np.conj(g11), out)
+
+    for pq in ((p, q), (q, p)):
+        blk = a[pq]
+        blk[hit] = 0.0
+        a[pq] = blk
+    # a diagonal entry changes only in its own rotation, which leaves it
+    # real: every diagonal imaginary part is an unwritten zero or rounding
+    a.reshape(n * n, k)[:: n + 1].imag = 0.0
+
+
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of complex Hermitian matrices, descending.
 
     Takes one ``(n, n)`` matrix and returns ``(n,)``, or a stack ``(k, n, n)``
     and returns ``(k, n)``; a single matrix is the ``k = 1`` stack.  Cyclic
     Jacobi with complex plane rotations: each (p, q) element is phased real
-    and annihilated by a 2x2 rotation, on every matrix of the stack at once.
+    and annihilated by a 2x2 rotation.  A sweep is the round-robin ordering
+    of ``_rounds``: n - 1 rounds (n for odd n) of floor(n/2) disjoint pairs,
+    each round applied to every matrix of the stack in a few array
+    operations.  The working copy
+    is batch-last, ``(n, n, k)``, so row and column gathers are contiguous
+    and every operation is elementwise per matrix (no matmul, whose
+    reductions could make a matrix's bits depend on its stack).
     A matrix converges when its off-diagonal Frobenius norm drops below
     ``JACOBI_REL_TOL`` times its Frobenius norm; it leaves the sweeps then,
     and skips a rotation whose ``|a_pq|`` is negligible at its own scale.
-    Every step is per matrix, so a matrix gets the same eigenvalues alone as
-    inside any stack.  Robustness over speed -- intended for the <= 256
-    dimensional matrices this package produces.
+    So a matrix gets the same eigenvalues alone as inside any stack.
+    Robustness over speed -- intended for the <= 256 dimensional matrices
+    this package produces.
     """
-    a = np.array(matrix, dtype=complex)
-    single = a.ndim == 2
+    stack = np.asarray(matrix)
+    single = stack.ndim == 2
     if single:
-        a = a[np.newaxis]
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        stack = stack[np.newaxis]
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("expected a square matrix or a stack of them")
-    # norms and checks go one matrix at a time: their temporaries stay the
+    k, n = stack.shape[:2]
+    a = np.empty((n, n, k), dtype=complex)
+    scale = np.empty(k)
+    # checks and norms go one matrix at a time: their temporaries stay the
     # size of one matrix, and a matrix's norm does not depend on its stack
-    for m in a:
+    for i in range(k):
+        m = np.array(stack[i], dtype=complex)
         _check_hermitian(m)
         m += m.conj().T
-    a /= 2.0
-
-    n = a.shape[1]
-    scale = np.array([np.linalg.norm(m) for m in a])
+        m /= 2.0
+        scale[i] = np.linalg.norm(m)
+        a[:, :, i] = m
     # rotating entries this small cannot help convergence, only cost time
     skip = JACOBI_REL_TOL * scale / (n * n)
 
-    live = np.arange(a.shape[0])
+    rounds = _rounds(n)
+    scratch = [np.empty(n // 2 * n * k, dtype=complex) for _ in range(3)]
+    eigs = np.empty((k, n))
+    live = np.arange(k)  # the stack member held in each column of a
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        residual = np.array([_off_norm(a[i]) for i in live])
-        unconverged = residual > JACOBI_REL_TOL * scale[live]
-        live = live[unconverged]
+        residual = np.array([_off_norm(a[:, :, j]) for j in range(live.size)])
+        unconverged = residual > JACOBI_REL_TOL * scale
+        if not unconverged.all():
+            eigs[live[~unconverged]] = np.diagonal(a).real[~unconverged]
+            keep = np.flatnonzero(unconverged)
+            a = np.take(a, keep, axis=2)
+            live, scale, skip = live[keep], scale[keep], skip[keep]
         if live.size == 0:
             break
         if sweep == JACOBI_MAX_SWEEPS:
             raise JacobiConvergenceError(
                 float(residual[unconverged].max()), JACOBI_MAX_SWEEPS
             )
-        # the whole stack by view while it is all live, else by index
-        members = slice(None) if live.size == len(a) else live
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                pq = slice(p, q + 1, q - p)  # rows or columns p and q
-                blk = a[members, pq, pq]
-                mag = np.abs(blk[:, 0, 1])
-                hit = mag > skip[members]
-                if not hit.all():
-                    if not hit.any():
-                        continue
-                    rot = live[hit]
-                    blk, mag = blk[hit], mag[hit]
-                else:
-                    rot = members
-                w = blk[:, 0, 1] / mag
-                tau = (blk[:, 1, 1].real - blk[:, 0, 0].real) / (2.0 * mag)
-                t = np.where(
-                    tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-                )
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # V = phase * rotation; rows mix with g = V^dagger, columns with V
-                g = np.empty((len(mag), 2, 2), dtype=complex)
-                g[:, 0, 0] = c
-                g[:, 0, 1] = -(s * w)
-                g[:, 1, 0] = s
-                g[:, 1, 1] = c * w
-                r = a[rot, pq, :]
-                a[rot, pq, :] = g[:, :, :1] * r[:, :1, :] + g[:, :, 1:] * r[:, 1:, :]
-                v = np.conj(g)[:, np.newaxis]
-                r = a[rot, :, pq]
-                a[rot, :, pq] = r[:, :, :1] * v[:, :, :, 0] + r[:, :, 1:] * v[:, :, :, 1]
-                blk = a[rot, pq, pq]
-                blk.imag = 0.0
-                blk[:, 0, 1] = blk[:, 1, 0] = 0.0
-                a[rot, pq, pq] = blk
+        for p, q in rounds:
+            _rotate_round(a, p, q, skip, scratch)
 
-    eigs = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=1)[:, ::-1]
+    eigs = np.sort(eigs, axis=1)[:, ::-1]
     return eigs[0].copy() if single else np.ascontiguousarray(eigs)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supneg
 import supneg.measures as measures
 from supneg import library, save_state
 from supneg.cli import (
@@ -24,6 +26,18 @@ from supneg.cli import (
 from supneg.states import new_state, normalize, superpose
 
 S2 = 1 / np.sqrt(2)
+
+
+def run_module(*argv):
+    """``python -m supneg.cli`` in a child that imports the package under test."""
+    src = str(Path(supneg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "supneg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(capsys, *argv):
@@ -196,11 +210,7 @@ def test_measure_huge_finite_amplitudes_exits_0(capsys, tmp_path):
 def test_measure_huge_finite_amplitudes_warning_names_inf(tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": _HUGE}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "supneg.cli", "measure", "--file", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("measure", "--file", str(path))
     assert proc.returncode == 0, proc.stderr
     assert "has squared norm inf; normalizing" in proc.stderr
     assert "squared norm nan" not in proc.stderr
@@ -513,10 +523,6 @@ def test_verify_rejects_zero_samples(capsys):
 
 
 def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "supneg.cli", "measure", "--named", "ghz"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("measure", "--named", "ghz")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_gme"] == pytest.approx(1.0, abs=1e-10)

@@ -233,16 +233,18 @@ def test_negativity_requires_normalized(ghz):
         negativity_so(doubled, Bipartition.of(ghz.dims, 0))
 
 
+def _assert_dual_path(states):
+    """SO and Schmidt paths match the PT oracle, solved as one batch, on every cut."""
+    pairs = [(s, cut) for s in states for cut in bipartitions(s)]
+    for (s, cut), n_pt in zip(pairs, oracle.negativities_pt_oracle(pairs)):
+        n_so = negativity_so(s, cut)
+        assert n_so == pytest.approx(n_pt, abs=1e-9)
+        assert n_so == pytest.approx(negativity_schmidt(s, cut), abs=1e-9)
+
+
 @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
 def test_dual_path_negativity_on_haar_states(dims):
-    for seed in range(8):
-        s = library.haar_random(dims, seed)
-        for cut in bipartitions(s):
-            n_so = negativity_so(s, cut)
-            assert n_so == pytest.approx(
-                oracle.negativity_pt_oracle(s, cut), abs=1e-9
-            )
-            assert n_so == pytest.approx(negativity_schmidt(s, cut), abs=1e-9)
+    _assert_dual_path(library.haar_random(dims, seed) for seed in range(8))
 
 
 def _biseparable_and_near_product(dims):
@@ -260,13 +262,7 @@ def _biseparable_and_near_product(dims):
 def test_dual_path_negativity_on_biseparable_and_near_product_states(dims):
     # a product cut has vanishing Schmidt coefficients: the paths must not
     # take square roots of rounding-level eigenvalues there
-    for s in _biseparable_and_near_product(dims):
-        for cut in bipartitions(s):
-            n_so = negativity_so(s, cut)
-            assert n_so == pytest.approx(
-                oracle.negativity_pt_oracle(s, cut), abs=1e-9
-            )
-            assert n_so == pytest.approx(negativity_schmidt(s, cut), abs=1e-9)
+    _assert_dual_path(_biseparable_and_near_product(dims))
 
 
 # ------------------------------------------------------- compressed kernel

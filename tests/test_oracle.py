@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supneg import library, oracle
 from supneg.oracle import (
@@ -181,7 +183,20 @@ def _pt_stack(dims):
     return np.stack(mats)
 
 
-@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
+@pytest.mark.parametrize("n", range(1, 41))
+def test_round_robin_schedule_covers_every_pair_once(n):
+    rounds = oracle._rounds(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    seen = []
+    for p, q in rounds:
+        assert len(p) == len(q) == n // 2
+        assert (p < q).all()
+        assert len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4], [4, 4, 4]])
 def test_stack_matches_each_matrix_bit_for_bit(dims):
     stack = _pt_stack(dims)
     eigs = hermitian_eigenvalues(stack)
@@ -190,7 +205,7 @@ def test_stack_matches_each_matrix_bit_for_bit(dims):
         assert hermitian_eigenvalues(mat).tobytes() == ev.tobytes()
 
 
-@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4], [4, 4, 4]])
 def test_stack_agrees_with_lapack(dims):
     stack = _pt_stack(dims)
     lapack = np.linalg.eigvalsh(stack)[:, ::-1]
@@ -211,6 +226,43 @@ def test_mixed_stack_and_one_by_one_stacks():
     ones = np.array([[[2.0]], [[-1.0]], [[0.0]]])
     np.testing.assert_array_equal(hermitian_eigenvalues(ones), [[2.0], [-1.0], [0.0]])
     np.testing.assert_array_equal(hermitian_eigenvalues(np.array([[4.0]])), [4.0])
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Stacks of k in 1..5 Hermitian n x n matrices, n in 1..12: dense, zero,
+    diagonal, and unitary conjugations of diagonals with repeated entries."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["dense", "zero", "diag", "degenerate"]),
+                          min_size=k, max_size=k))
+    mats = []
+    for kind in kinds:
+        if kind == "dense":
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            mats.append((z + z.conj().T) / 2)
+        elif kind == "zero":
+            mats.append(np.zeros((n, n), dtype=complex))
+        else:
+            levels = rng.standard_normal(max(1, n // 3))
+            diag = np.diag(rng.choice(levels, size=n)).astype(complex)
+            if kind == "diag":
+                mats.append(diag)
+            else:
+                u = library.haar_unitary(n, int(rng.integers(2**31)))
+                mats.append(u @ diag @ u.conj().T)
+    return np.stack(mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks())
+def test_stack_property_lapack_agreement_and_bits_alone(stack):
+    eigs = hermitian_eigenvalues(stack)
+    lapack = np.linalg.eigvalsh(stack)[:, ::-1]
+    for mat, ev, ref in zip(stack, eigs, lapack):
+        assert np.abs(ev - ref).max() <= 1e-12 * np.linalg.norm(mat)
+        assert hermitian_eigenvalues(mat).tobytes() == ev.tobytes()
 
 
 def test_stack_rejects_one_non_hermitian_member():
