@@ -12,6 +12,7 @@ from .bounds import (
     SuperpositionSpec,
     cross_terms,
     evaluate_bounds,
+    evaluate_bounds_batch,
     fit_gme_closed_form,
     gme_negativity_bounds,
     min_combine_lower,
@@ -35,6 +36,7 @@ from .measures import (
     bilinear_matrix,
     concurrence_sq,
     cross_sum,
+    cross_sums,
     generator_pairs,
     gme_concurrence,
     gme_negativity,
@@ -43,6 +45,7 @@ from .measures import (
     multipartite_concurrence_sq,
     multipartite_negativity,
     negativity_schmidt,
+    negativities_so,
     negativity_so,
 )
 from .oracle import (

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import library
-from .measures import cross_sum
+from .measures import cross_sums
 from .states import PureState, bipartitions, superpose
 
 # Previously reported closed-form constants for the GHZ/W-superposition
@@ -111,12 +111,18 @@ class BoundsReport:
         return out
 
 
-def cross_terms(spec: SuperpositionSpec) -> CrossTermTable:
-    """All nine raw cross sums (3 cuts x 3 state pairs) and derived scalars."""
-    cuts = bipartitions(spec.psi1)
-    s11 = tuple(cross_sum(spec.psi1, spec.psi1, cut) for cut in cuts)
-    s22 = tuple(cross_sum(spec.psi2, spec.psi2, cut) for cut in cuts)
-    s12 = tuple(cross_sum(spec.psi1, spec.psi2, cut) for cut in cuts)
+def _triples(pairs: Sequence[tuple[PureState, PureState]]) -> list:
+    """(psi, phi, cut) for every state pair and cut, pair-major."""
+    return [(psi, phi, cut) for psi, phi in pairs for cut in bipartitions(psi)]
+
+
+def _component_pairs(spec: SuperpositionSpec) -> list[tuple[PureState, PureState]]:
+    return [(spec.psi1, spec.psi1), (spec.psi2, spec.psi2), (spec.psi1, spec.psi2)]
+
+
+def _table(spec: SuperpositionSpec, sums: Sequence[float]) -> CrossTermTable:
+    """The table of one spec from its nine cross sums, in ``_triples`` order."""
+    s11, s22, s12 = (tuple(sums[k : k + 3]) for k in (0, 3, 6))
     w11 = abs(spec.a1) ** 2
     w22 = abs(spec.a2) ** 2
     w12 = abs(spec.a1 * spec.a2)
@@ -134,6 +140,11 @@ def cross_terms(spec: SuperpositionSpec) -> CrossTermTable:
         g22=w22 * min(s22),
         g12=w12 * min(s12),
     )
+
+
+def cross_terms(spec: SuperpositionSpec) -> CrossTermTable:
+    """All nine raw cross sums (3 cuts x 3 state pairs) and derived scalars."""
+    return _table(spec, cross_sums(_triples(_component_pairs(spec))))
 
 
 def _total_bounds(t: CrossTermTable) -> BoundTriple:
@@ -200,6 +211,40 @@ def min_combine_lower(b: Sequence[float], c: Sequence[float], d: Sequence[float]
     return min_combine_slack(b, c, d)[1] >= 0.0
 
 
+def evaluate_bounds_batch(specs: Sequence[SuperpositionSpec]) -> list[BoundsReport]:
+    """``evaluate_bounds`` of every spec, in order, from one kernel call.
+
+    Each spec contributes its nine component cross sums and the three of its
+    superposition; a report gets the same bits as from a batch of one.
+    """
+    chis = [spec.superposed() for spec in specs]
+    pairs = []
+    for spec, chi in zip(specs, chis):
+        pairs += _component_pairs(spec) + [(chi, chi)]
+    sums = cross_sums(_triples(pairs))
+    reports = []
+    for k, (spec, chi) in enumerate(zip(specs, chis)):
+        table = _table(spec, sums[12 * k : 12 * k + 9])
+        per_cut = sums[12 * k + 9 : 12 * k + 12]
+        t1 = _total_bounds(table)
+        t2 = _gme_bounds(table)
+        reports.append(
+            BoundsReport(
+                norm_sq=chi.norm_sq,
+                n_exact=2.0 * sum(per_cut),
+                ngme_exact=min(per_cut),
+                t1_upper=t1.upper,
+                t1_lower_raw=t1.lower_raw,
+                t1_lower=t1.lower,
+                t2_upper=t2.upper,
+                t2_lower_raw=t2.lower_raw,
+                t2_lower=t2.lower,
+                terms=table,
+            )
+        )
+    return reports
+
+
 def evaluate_bounds(spec: SuperpositionSpec) -> BoundsReport:
     """Exact scaled negativities of the superposition and all four bounds.
 
@@ -207,24 +252,7 @@ def evaluate_bounds(spec: SuperpositionSpec) -> BoundsReport:
     cross_sum is quadratic in its arguments, so no normalization step is
     needed and a vanishing-norm chi simply yields exact values near zero.
     """
-    table = cross_terms(spec)
-    chi = spec.superposed()
-    cuts = bipartitions(chi)
-    per_cut = [cross_sum(chi, chi, cut) for cut in cuts]
-    t1 = _total_bounds(table)
-    t2 = _gme_bounds(table)
-    return BoundsReport(
-        norm_sq=chi.norm_sq,
-        n_exact=2.0 * sum(per_cut),
-        ngme_exact=min(per_cut),
-        t1_upper=t1.upper,
-        t1_lower_raw=t1.lower_raw,
-        t1_lower=t1.lower,
-        t2_upper=t2.upper,
-        t2_lower_raw=t2.lower_raw,
-        t2_lower=t2.lower,
-        terms=table,
-    )
+    return evaluate_bounds_batch([spec])[0]
 
 
 def z_family_sweep(p_grid: Sequence[float], phi: float = 0.0) -> list[BoundsReport]:
@@ -232,10 +260,9 @@ def z_family_sweep(p_grid: Sequence[float], phi: float = 0.0) -> list[BoundsRepo
     for p in p_grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return [
-        evaluate_bounds(library.z_family(library.ZFamilyParams(p=float(p), phi=phi)))
-        for p in p_grid
-    ]
+    return evaluate_bounds_batch(
+        [library.z_family(library.ZFamilyParams(p=float(p), phi=phi)) for p in p_grid]
+    )
 
 
 SWEEP_COLUMNS = (

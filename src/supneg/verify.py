@@ -5,8 +5,11 @@ run seed and returns one row per sample: one violation per check name it
 produces, plus the inputs that replay the sample.  Sample ``i`` draws from
 its own stream keyed by ``seed ^ i``, so results do not depend on how the
 samples are grouped; a block check can therefore batch work across its
-samples, as the dual-path check does with the Jacobi oracle.  Checks that
-have nothing to batch are written per sample and lifted by ``_per_sample``.
+samples.  The dual-path check makes one Jacobi-oracle call for all its
+samples, and every check but the min/max lemma makes one cross-sum kernel
+call (``measures.cross_sum_spectra``); the sandwich check makes it through
+``bounds.evaluate_bounds_batch``.  The lemma has nothing to batch: it is
+written per sample and lifted by ``_per_sample``.
 A check passes when its largest violation over the samples is within
 tolerance; a failing check keeps the inputs of its worst sample.
 """
@@ -54,34 +57,45 @@ def _sample_dims(index: int) -> list[int]:
     return [2, 2, 2] if index % 2 == 0 else [3, 3, 3]
 
 
-def _haar_sample(i: int, seed: int) -> tuple[PureState, dict]:
-    state = library.haar_random(_sample_dims(i), seed ^ i)
-    return state, {"sample": i, "state": state.to_dict()}
+def _haar_samples(samples: int, seed: int) -> tuple[list[PureState], list[dict]]:
+    """Haar sample ``i`` from ``seed ^ i``, with the inputs that replay it."""
+    states = [library.haar_random(_sample_dims(i), seed ^ i) for i in range(samples)]
+    return states, [{"sample": i, "state": s.to_dict()} for i, s in enumerate(states)]
+
+
+def _cut_pairs(states: list[PureState]) -> list[tuple[PureState, Bipartition]]:
+    return [(state, cut) for state in states for cut in bipartitions(state)]
+
+
+def _by_state(values: list) -> list[list]:
+    """Per-pair values of ``_cut_pairs`` regrouped as three cuts per state."""
+    return [values[k : k + 3] for k in range(0, len(values), 3)]
 
 
 def _dual_path(samples: int, seed: int) -> list[Row]:
-    # one oracle call for every sample's cuts: the Jacobi solve is stacked
-    draws = [_haar_sample(i, seed) for i in range(samples)]
-    pairs = [(state, cut) for state, _ in draws for cut in bipartitions(state)]
-    n_pt = iter(oracle.negativities_pt_oracle(pairs))
+    # one oracle call and one kernel call for every sample's cuts
+    states, inputs = _haar_samples(samples, seed)
+    pairs = _cut_pairs(states)
+    n_pt = _by_state(list(oracle.negativities_pt_oracle(pairs)))
+    n_so = _by_state(measures.negativities_so(pairs))
     rows = []
-    for state, inputs in draws:
+    for state, pts, sos, replay in zip(states, n_pt, n_so, inputs):
         worst = 0.0
-        for cut in bipartitions(state):
-            n_so = measures.negativity_so(state, cut)
-            n_sch = measures.negativity_schmidt(state, cut)
-            worst = max(worst, abs(n_so - next(n_pt)), abs(n_so - n_sch))
-        rows.append(((worst,), inputs))
+        for cut, pt, so in zip(bipartitions(state), pts, sos):
+            sch = measures.negativity_schmidt(state, cut)
+            worst = max(worst, abs(so - pt), abs(so - sch))
+        rows.append(((worst,), replay))
     return rows
 
 
-def _concurrence_identity(i: int, seed: int) -> Row:
-    state, inputs = _haar_sample(i, seed)
+def _concurrence_identity(samples: int, seed: int) -> list[Row]:
+    states, inputs = _haar_samples(samples, seed)
     # the non-raising paths, so a broken convention is a measured violation
-    worst = 0.0
-    for cut in bipartitions(state):
-        worst = max(worst, abs(measures.concurrence_paths(state, cut).difference))
-    return (worst,), inputs
+    per_state = _by_state(measures.cut_measures(_cut_pairs(states)))
+    return [
+        ((max([0.0] + [abs(c.difference) for c in cuts]),), replay)
+        for cuts, replay in zip(per_state, inputs)
+    ]
 
 
 def _degenerate_spec(seed: int) -> bounds.SuperpositionSpec:
@@ -94,27 +108,32 @@ def _degenerate_spec(seed: int) -> bounds.SuperpositionSpec:
     return bounds.SuperpositionSpec(a1, a2, psi, psi2)
 
 
-def _sandwiches(i: int, seed: int) -> Row:
+def _sandwiches(samples: int, seed: int) -> list[Row]:
     # sample 0 exercises the documented degenerate parallel superposition
-    if i == 0:
-        spec = _degenerate_spec(seed)
-    else:
-        spec = library.random_superposition_spec(_sample_dims(i), seed ^ i)
-    if spec.superposed().norm_sq < 1e-12:
-        warnings.warn(
-            "superposition has near-zero norm; normalized-state values are "
-            "undefined, checking bounds on the raw scaled values"
-        )
-    r = bounds.evaluate_bounds(spec)
-    v1 = max(r.t1_lower_raw - r.n_exact, r.n_exact - r.t1_upper)
-    v2 = max(r.t2_lower_raw - r.ngme_exact, r.ngme_exact - r.t2_upper)
-    payload = {
-        "a1": [spec.a1.real, spec.a1.imag],
-        "a2": [spec.a2.real, spec.a2.imag],
-        "psi1": spec.psi1.to_dict(),
-        "psi2": spec.psi2.to_dict(),
-    }
-    return (max(v1, 0.0), max(v2, 0.0)), {"sample": i, "spec": payload}
+    specs = [
+        _degenerate_spec(seed)
+        if i == 0
+        else library.random_superposition_spec(_sample_dims(i), seed ^ i)
+        for i in range(samples)
+    ]
+    for spec in specs:
+        if spec.superposed().norm_sq < 1e-12:
+            warnings.warn(
+                "superposition has near-zero norm; normalized-state values are "
+                "undefined, checking bounds on the raw scaled values"
+            )
+    rows = []
+    for i, (spec, r) in enumerate(zip(specs, bounds.evaluate_bounds_batch(specs))):
+        v1 = max(r.t1_lower_raw - r.n_exact, r.n_exact - r.t1_upper)
+        v2 = max(r.t2_lower_raw - r.ngme_exact, r.ngme_exact - r.t2_upper)
+        payload = {
+            "a1": [spec.a1.real, spec.a1.imag],
+            "a2": [spec.a2.real, spec.a2.imag],
+            "psi1": spec.psi1.to_dict(),
+            "psi2": spec.psi2.to_dict(),
+        }
+        rows.append(((max(v1, 0.0), max(v2, 0.0)), {"sample": i, "spec": payload}))
+    return rows
 
 
 def _lemma(i: int, seed: int) -> Row:
@@ -125,24 +144,38 @@ def _lemma(i: int, seed: int) -> Row:
     return (max(0.0, -upper, -lower),), inputs
 
 
-def _biseparable(i: int, seed: int) -> Row:
-    dims = _sample_dims(i)
-    state = library.random_biseparable(Bipartition.of(dims, i % 3), dims, seed ^ i)
-    return (measures.gme_negativity(state),), {"sample": i, "state": state.to_dict()}
+def _gme_negativities(states: list[PureState]) -> list[float]:
+    """GME negativity of every state, from one kernel call."""
+    return [min(negs) for negs in _by_state(measures.negativities_so(_cut_pairs(states)))]
 
 
-def _haar_gme_positive(i: int, seed: int) -> Row:
-    state, inputs = _haar_sample(i, seed)
-    return (max(0.0, HAAR_GME_FLOOR - measures.gme_negativity(state)),), inputs
+def _biseparable(samples: int, seed: int) -> list[Row]:
+    states = []
+    for i in range(samples):
+        dims = _sample_dims(i)
+        cut = Bipartition.of(dims, i % 3)
+        states.append(library.random_biseparable(cut, dims, seed ^ i))
+    return [
+        ((gme,), {"sample": i, "state": state.to_dict()})
+        for i, (state, gme) in enumerate(zip(states, _gme_negativities(states)))
+    ]
+
+
+def _haar_gme_positive(samples: int, seed: int) -> list[Row]:
+    states, inputs = _haar_samples(samples, seed)
+    return [
+        ((max(0.0, HAAR_GME_FLOOR - gme),), replay)
+        for gme, replay in zip(_gme_negativities(states), inputs)
+    ]
 
 
 CHECKS = (
     Check(("dual_path_negativity",), _dual_path),
-    Check(("concurrence_identity",), _per_sample(_concurrence_identity)),
-    Check(("t1_sandwich", "t2_sandwich"), _per_sample(_sandwiches)),
+    Check(("concurrence_identity",), _concurrence_identity),
+    Check(("t1_sandwich", "t2_sandwich"), _sandwiches),
     Check(("min_combine_lemma",), _per_sample(_lemma)),
-    Check(("biseparable_gme_zero",), _per_sample(_biseparable)),
-    Check(("haar_gme_positive",), _per_sample(_haar_gme_positive), tol=0.0),
+    Check(("biseparable_gme_zero",), _biseparable),
+    Check(("haar_gme_positive",), _haar_gme_positive, tol=0.0),
 )
 
 

@@ -1,4 +1,6 @@
+import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import supneg.measures as measures
 import supneg.states as states
-from supneg import library, oracle, verify
+from supneg import bounds, library, oracle, verify
 from supneg.measures import (
     GeneratorPair,
     bilinear_form,
@@ -191,6 +193,60 @@ def test_cross_sum_quadratic_scaling(ghz):
     assert cross_sum(chi, chi, cut) == pytest.approx(
         1.7**2 * cross_sum(ghz, ghz, cut), abs=1e-12
     )
+
+
+KERNEL_DIMS = [(2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 4)]
+
+
+def _kernel_state(kind, dims, rng):
+    if kind == "zero":
+        return PureState(dims, np.zeros(int(np.prod(dims))))
+    if kind == "product":
+        vec = np.ones(1)
+        for d in dims:
+            vec = np.kron(vec, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        return PureState(dims, vec)
+    return library.haar_random(list(dims), int(rng.integers(2**31)))
+
+
+@st.composite
+def kernel_batches(draw):
+    """Batches of 1..12 (psi, phi, cut) triples over mixed dims: same-state
+    and distinct pairs of Haar, product and zero vectors, repeats included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    triples = []
+    for _ in range(draw(st.integers(1, 12))):
+        if triples and draw(st.booleans()):
+            triples.append(triples[draw(st.integers(0, len(triples) - 1))])
+            continue
+        dims = draw(st.sampled_from(KERNEL_DIMS))
+        kinds = st.sampled_from(["haar", "haar", "product", "zero"])
+        psi = _kernel_state(draw(kinds), dims, rng)
+        phi = psi if draw(st.booleans()) else _kernel_state(draw(kinds), dims, rng)
+        triples.append((psi, phi, Bipartition.of(dims, draw(st.integers(0, 2)))))
+    return triples
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_batches(), st.randoms(use_true_random=False))
+def test_kernel_property_bits_alone_and_dense_agreement(triples, random):
+    spectra = measures.cross_sum_spectra(triples)
+    order = list(range(len(triples)))
+    random.shuffle(order)
+    shuffled = measures.cross_sum_spectra([triples[i] for i in order])
+    for i, (psi, phi, cut) in enumerate(triples):
+        sigma = spectra[i]
+        alone = measures.cross_sum_spectra([(psi, phi, cut)])[0]
+        assert alone.tobytes() == sigma.tobytes()
+        assert shuffled[order.index(i)].tobytes() == sigma.tobytes()
+        dense = bilinear_matrix(psi, phi, cut)
+        ref = np.linalg.svd(dense, compute_uv=False)
+        padded = np.zeros_like(ref)
+        padded[: sigma.size] = sigma  # the compressed T drops only zero values
+        # T is bilinear in the matricizations, so their Frobenius norms set the
+        # rounding scale; T's own norm is rounding noise on a product state
+        scale = np.linalg.norm(matricize(psi, cut)) * np.linalg.norm(matricize(phi, cut))
+        assert np.abs(padded - ref).max() <= 1e-12 * scale
 
 
 # ------------------------------------------------------------- negativities
@@ -497,7 +553,9 @@ def test_measure_report_is_one_pass_per_cut(monkeypatch):
     jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
     reshapes = _count_calls(monkeypatch, states.matricize)
     measure_report(library.haar_random([3, 3, 3], 5))
-    assert len(t_builds) == 3  # one T per cut
+    # one T per cut, however the kernel stacks them: matrices built, not calls
+    depths = [args[0].shape[0] if args[0].ndim == 3 else 1 for args in t_builds]
+    assert sum(depths) == 3
     assert len(jacobi_calls) == 0  # the Jacobi solver serves the oracle only
     assert len(reshapes) == 6  # per cut: one for the Schmidt SVD, one for T
 
@@ -509,6 +567,53 @@ def test_verify_is_one_jacobi_solve_per_total_dimension(monkeypatch):
     # the samples' partial transposes are 8x8 or 27x27: one stacked solve each
     assert len(jacobi_calls) <= 2
     assert {args[0].shape[1:] for args in jacobi_calls} == {(8, 8), (27, 27)}
+
+
+def test_verify_is_one_kernel_call_per_check(monkeypatch):
+    kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
+    t_builds = _count_calls(monkeypatch, measures.t_matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for check in verify.CHECKS:
+            before = len(kernel_calls)
+            check.rows(8, 42)
+            assert len(kernel_calls) - before <= 1, check.names
+    # one T build per (check, stacked shape) group: 12, not one per triple (192)
+    assert len(t_builds) <= 12
+
+
+def test_bounds_are_one_kernel_call(monkeypatch):
+    kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
+    t_builds = _count_calls(monkeypatch, measures.t_matrix)
+    bounds.evaluate_bounds(library.random_superposition_spec([3, 3, 3], 4))
+    assert len(kernel_calls) == 1
+    del kernel_calls[:], t_builds[:]
+    bounds.z_family_sweep(np.linspace(0.0, 1.0, 21))
+    assert len(kernel_calls) == 1
+    # same-state and distinct-pair stacks of d = 2: two builds, not 21 x 12
+    assert len(t_builds) <= 2
+
+
+def _row_bits(rows):
+    return [
+        ([float(v).hex() for v in violations], json.dumps(inputs, sort_keys=True))
+        for violations, inputs in rows
+    ]
+
+
+@pytest.mark.parametrize("check", verify.CHECKS, ids=lambda c: c.names[0])
+def test_check_rows_do_not_depend_on_grouping(check):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        full = _row_bits(check.rows(8, 42))
+        for k in (1, 3):
+            assert _row_bits(check.rows(k, 42)) == full[:k]
+
+
+def test_near_zero_norm_warning_fires_once_per_run():
+    with pytest.warns(UserWarning) as record:
+        verify.run_verify(samples=8, seed=42, tol=1e-9)
+    assert sum("near-zero norm" in str(w.message) for w in record) == 1
 
 
 def test_measure_report_diagnostics(ghz):
