@@ -22,14 +22,15 @@ T(P, Q) = T(L_P, L_Q) C2(W) by Cauchy-Binet, and C2(W) is a co-isometry
 T(L_P, L_Q), C(r,2) x C(min(2r, c),2) or C(r,2) x C(min(r, c),2) for
 psi = phi, has the singular values of T.
 
-The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples,
-and every caller makes one call per report, bounds evaluation or verify
-check.  Triples of one stacked shape share one QR of their stacked
-transposes; T(L_P, L_Q) is then built T_CHUNK_ENTRIES entries at a time, one
-t_matrix call and one SVD per chunk, so the temporaries of a stack stay in
-cache (three d = 12 cross-pair T built at once took 2.2-2.6 ms, against 0.6 ms
-one at a time).  LAPACK factors each matrix of a stack on its own and T is
-entry-wise, so a triple gets the same bits alone as in any batch.
+The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples;
+a report, a bounds evaluation or a verify check makes one call (the three
+Haar checks of a verify run share one).  Triples of one stacked shape share
+one QR of their stacked transposes; T(L_P, L_Q) is then built
+T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per chunk,
+so the temporaries of a stack stay in cache (three d = 12 cross-pair T built
+at once took 2.2-2.6 ms, against 0.6 ms one at a time).  LAPACK factors
+each matrix of a stack on its own and T is entry-wise, so a triple gets the
+same bits alone as in any batch.
 
 Determinism: generator pairs are enumerated lexicographically and every
 reduction has a fixed order, so identical inputs give bit-identical results.
@@ -50,6 +51,7 @@ from .states import (
     bipartitions,
     matricize,
     require_normalized,
+    schmidt_spectra,
     schmidt_spectrum,
 )
 
@@ -290,14 +292,14 @@ def cut_measures(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[CutMeas
     """All per-cut values of every (normalized state, cut) pair, without
     comparing paths; returned in pair order.
 
-    One SVD of each pair's matricization, and one kernel call for the T
-    spectra of the batch.  The density-path concurrence
+    One stacked Schmidt SVD per matricization shape, and one kernel call for
+    the T spectra of the batch.  The density-path concurrence
     4 sum_{i<j} lambda_i lambda_j equals 2(1 - Tr rho^2) at unit norm without
     its cancellation, so a product cut reads ~1e-32, not ~1e-16.
     """
     pairs = list(pairs)
     # first: an unnormalized state raises the normalization error, before any SVD
-    lams = [schmidt_spectrum(state, cut).lambdas for state, cut in pairs]
+    lams = [spectrum.lambdas for spectrum in schmidt_spectra(pairs)]
     sigmas = cross_sum_spectra((state, state, cut) for state, cut in pairs)
     return [
         CutMeasures(

@@ -12,9 +12,14 @@ certifies a whole batch of (state, cut) pairs in one solve per total
 dimension.  A sweep is a round-robin (circle method) ordering in the manner
 of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985): each round rotates
 floor(n/2) disjoint pairs together, on a batch-last ``(n, n, k)`` working
-copy of the stack whose row and column gathers are contiguous.  Jacobi stays
-the accuracy reference (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
-1992); the ordering and the stack only remove Python-level steps.
+copy of the stack whose row and column gathers are contiguous.  A round
+reads its a_pq, a_pp and a_qq in one gather of flat indices, cached per
+solve, and zeroes a_pq and a_qp in one flat write.  The Hermiticity check,
+the symmetrization, the scales and the per-sweep residuals are whole-stack
+array operations; each norm is summed in entry order, so a matrix's residual
+has the same bits alone as in any stack.  Jacobi stays the accuracy
+reference (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992); the
+ordering and the stack only remove Python-level steps.
 """
 
 from __future__ import annotations
@@ -76,18 +81,20 @@ def partial_transpose(
     return np.ascontiguousarray(t.reshape(total, total))
 
 
-def _check_hermitian(a: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.conj().T).max(initial=0.0)) > HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
+def _frobenius_norms(a: np.ndarray, off_diagonal: bool = False) -> np.ndarray:
+    """Frobenius norm of each matrix of a batch-last stack ``(n, n, k)``.
 
-
-def _off_norm(a: np.ndarray) -> float:
-    # summed directly over off-diagonal entries: the ||A||^2 - ||diag||^2
-    # shortcut cancels catastrophically once the residual is tiny
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+    Summed in entry order by ``np.add.accumulate`` for every k; an axis-0
+    sum goes pairwise at k = 1.  The off-diagonal norm sums the off-diagonal
+    entries: ||A||^2 - ||diag||^2 cancels catastrophically at tiny residuals.
+    """
+    n, _, k = a.shape
+    sq = np.square(a.real).reshape(n * n, k)
+    sq += np.square(a.imag).reshape(n * n, k)
+    if off_diagonal:
+        sq[:: n + 1] = 0.0
+    # in place: a norm adds one stack-sized buffer of reals, not two
+    return np.sqrt(np.add.accumulate(sq, axis=0, out=sq)[-1]) if n else np.zeros(k)
 
 
 def _rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -130,59 +137,65 @@ def _mix(x, y, c, t, g01, g11, out) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotate_round(
-    a: np.ndarray,
-    p: np.ndarray,
-    q: np.ndarray,
-    skip: np.ndarray,
-    scratch: list[np.ndarray],
+    a: np.ndarray, rnd: tuple, skip: np.ndarray, scratch: list[np.ndarray]
 ) -> None:
     """Annihilate every a[p_i, q_i] of one round on the stack ``(n, n, k)``.
 
     The pairs are disjoint and each angle reads only a_pp, a_qq and a_pq,
     which the round's other rotations do not touch; so all angles come from
     the current matrices, then every row update, then every column update.
+    ``rnd`` is ``(p, q, gather, zero)``: the round's pairs, the flat entry
+    indices of a_pq, a_pp and a_qq, read in one take, and those of a_pq and
+    a_qp, zeroed in one write.
     A pair at or below its matrix's ``skip`` gets the identity rotation and
     keeps its 2x2 block.  Everything is elementwise per matrix.  The three
     ``scratch`` buffers hold at least ``p.size * n * k`` entries each; the
     row and column gathers go there, so a round allocates nothing large.
     """
-    apq = a[p, q]
+    p, q, gather, zero = rnd
+    n, _, k = a.shape
+    flat = a.reshape(n * n, k)
+    m = p.size
+    entries = np.take(flat, gather, axis=0)
+    apq = entries[:m]
     mag = np.abs(apq)
     hit = mag > skip
     if not hit.any():
         return
-    mag = np.where(hit, mag, 1.0)
-    w = np.where(hit, apq / mag, 1.0)
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    t = np.where(
-        tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-    )
-    t = np.where(hit, t, 0.0)
+    miss = ~hit
+    mag[miss] = 1.0
+    w = apq / mag
+    w[miss] = 1.0
+    tau = entries[2 * m :].real - entries[m : 2 * m].real
+    tau /= 2.0 * mag
+    # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), and 1 at tau = 0
+    t = np.abs(tau)
+    t += np.hypot(1.0, tau)
+    np.divide(1.0, t, out=t)
+    np.copysign(t, tau, out=t)
+    t[miss] = 0.0
     c = 1.0 / np.hypot(1.0, t)
     s = t * c
     # V = phase * rotation; rows mix with V^dagger = [[c, -s w], [s, c w]],
     # columns with V
     g01, g11 = -(s * w), c * w
 
-    n, _, k = a.shape
-    size = p.size * n * k
-    x, y, out = (b[:size].reshape(p.size, n, k) for b in scratch)
+    size = m * n * k
+    x, y, out = (b[:size].reshape(m, n, k) for b in scratch)
     # the indices are in range; mode="raise" would buffer the out= copy
     np.take(a, p, axis=0, out=x, mode="clip")
     np.take(a, q, axis=0, out=y, mode="clip")
     a[p], a[q] = _mix(x, y, c[:, None], t[:, None], g01[:, None], g11[:, None], out)
-    x, y, out = (b[:size].reshape(n, p.size, k) for b in scratch)
+    x, y, out = (b[:size].reshape(n, m, k) for b in scratch)
     np.take(a, p, axis=1, out=x, mode="clip")
     np.take(a, q, axis=1, out=y, mode="clip")
     a[:, p], a[:, q] = _mix(x, y, c, t, np.conj(g01), np.conj(g11), out)
 
-    for pq in ((p, q), (q, p)):
-        blk = a[pq]
-        blk[hit] = 0.0
-        a[pq] = blk
+    positions = zero[:, None] * k + np.arange(k)  # in the raveled stack
+    a.reshape(-1)[positions[np.concatenate((hit, hit))]] = 0.0
     # a diagonal entry changes only in its own rotation, which leaves it
     # real: every diagonal imaginary part is an unwritten zero or rounding
-    a.reshape(n * n, k)[:: n + 1].imag = 0.0
+    flat[:: n + 1].imag = 0.0
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -192,12 +205,10 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     and returns ``(k, n)``; a single matrix is the ``k = 1`` stack.  Cyclic
     Jacobi with complex plane rotations: each (p, q) element is phased real
     and annihilated by a 2x2 rotation.  A sweep is the round-robin ordering
-    of ``_rounds``: n - 1 rounds (n for odd n) of floor(n/2) disjoint pairs,
-    each round applied to every matrix of the stack in a few array
-    operations.  The working copy
-    is batch-last, ``(n, n, k)``, so row and column gathers are contiguous
-    and every operation is elementwise per matrix (no matmul, whose
-    reductions could make a matrix's bits depend on its stack).
+    of ``_rounds``, each round applied to every matrix of the stack in a few
+    array operations on the batch-last working copy.  Every operation is
+    elementwise per matrix or a reduction in a fixed order per matrix (no
+    matmul, whose reductions could make a matrix's bits depend on its stack).
     A matrix converges when its off-diagonal Frobenius norm drops below
     ``JACOBI_REL_TOL`` times its Frobenius norm; it leaves the sweeps then,
     and skips a rotation whose ``|a_pq|`` is negligible at its own scale.
@@ -212,26 +223,29 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("expected a square matrix or a stack of them")
     k, n = stack.shape[:2]
-    a = np.empty((n, n, k), dtype=complex)
-    scale = np.empty(k)
-    # checks and norms go one matrix at a time: their temporaries stay the
-    # size of one matrix, and a matrix's norm does not depend on its stack
-    for i in range(k):
-        m = np.array(stack[i], dtype=complex)
-        _check_hermitian(m)
-        m += m.conj().T
-        m /= 2.0
-        scale[i] = np.linalg.norm(m)
-        a[:, :, i] = m
+    a = np.array(stack.transpose(1, 2, 0), dtype=complex, order="C")
+    limit = HERMITICITY_TOL * np.maximum(1.0, np.abs(a).max(axis=(0, 1), initial=0.0))
+    asym = a.conj().transpose(1, 0, 2)
+    asym -= a  # in place, as the symmetrization below: one temporary at a time
+    if (np.abs(asym).max(axis=(0, 1), initial=0.0) > limit).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    del asym
+    a += a.conj().transpose(1, 0, 2)
+    a /= 2.0
+    scale = _frobenius_norms(a)
     # rotating entries this small cannot help convergence, only cost time
     skip = JACOBI_REL_TOL * scale / (n * n)
 
-    rounds = _rounds(n)
+    rounds = [
+        (p, q, np.concatenate((p * n + q, p * (n + 1), q * (n + 1))),
+         np.concatenate((p * n + q, q * n + p)))
+        for p, q in _rounds(n)
+    ]
     scratch = [np.empty(n // 2 * n * k, dtype=complex) for _ in range(3)]
     eigs = np.empty((k, n))
     live = np.arange(k)  # the stack member held in each column of a
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        residual = np.array([_off_norm(a[:, :, j]) for j in range(live.size)])
+        residual = _frobenius_norms(a, off_diagonal=True)
         unconverged = residual > JACOBI_REL_TOL * scale
         if not unconverged.all():
             eigs[live[~unconverged]] = np.diagonal(a).real[~unconverged]
@@ -244,8 +258,8 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
             raise JacobiConvergenceError(
                 float(residual[unconverged].max()), JACOBI_MAX_SWEEPS
             )
-        for p, q in rounds:
-            _rotate_round(a, p, q, skip, scratch)
+        for rnd in rounds:
+            _rotate_round(a, rnd, skip, scratch)
 
     eigs = np.sort(eigs, axis=1)[:, ::-1]
     return eigs[0].copy() if single else np.ascontiguousarray(eigs)

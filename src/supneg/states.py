@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -87,9 +88,10 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
     def to_dict(self) -> dict:
+        amps = self.amplitudes
         return {
             "dims": list(self.dims),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": np.stack((amps.real, amps.imag), 1).tolist(),
         }
 
 
@@ -121,7 +123,13 @@ class Bipartition:
 
 def bipartitions(state: PureState) -> tuple[Bipartition, Bipartition, Bipartition]:
     """The three single-subsystem cuts of a tripartite state, A|BC first."""
-    return tuple(Bipartition.of(state.dims, k) for k in range(3))
+    return _cuts_of(state.dims)
+
+
+@lru_cache(maxsize=64)
+def _cuts_of(dims: tuple[int, ...]) -> tuple[Bipartition, Bipartition, Bipartition]:
+    # immutable, and asked for hundreds of times per verify run for a few dims
+    return tuple(Bipartition.of(dims, k) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -237,15 +245,32 @@ def reduced_density(
     return (m @ m.conj().T) / norm_sq
 
 
-def schmidt_spectrum(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
-    """Squared singular values of the matricization of a normalized state.
-
-    Vanishing Schmidt coefficients come out at rounding level (~1e-16), not
-    as square roots of rounding-level eigenvalues of rho = M M^dagger.
+def schmidt_spectra(
+    pairs: Iterable[tuple[PureState, Bipartition]],
+) -> list[SchmidtSpectrum]:
+    """Squared singular values of the matricization of every (normalized
+    state, cut) pair, in pair order, from one stacked SVD per matricization
+    shape: LAPACK factors each matrix alone, so a pair's bits do not depend
+    on its batch.  Vanishing Schmidt coefficients come out at rounding level
+    (~1e-16), not as square roots of rounding-level eigenvalues of M M^dagger.
     """
-    require_normalized(state, "schmidt_spectrum")
-    s = np.linalg.svd(matricize(state, cut), compute_uv=False)
-    return SchmidtSpectrum(np.clip(s * s, 0.0, 1.0))
+    pairs = list(pairs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (state, cut) in enumerate(pairs):
+        require_normalized(state, "schmidt_spectrum")
+        groups.setdefault((cut.row_dim, cut.col_dim), []).append(i)
+    spectra: list = [None] * len(pairs)
+    for members in groups.values():
+        mats = np.stack([matricize(*pairs[i]) for i in members])
+        s = np.linalg.svd(mats, compute_uv=False)
+        for i, lam in zip(members, np.clip(s * s, 0.0, 1.0)):
+            spectra[i] = SchmidtSpectrum(lam)
+    return spectra
+
+
+def schmidt_spectrum(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
+    """``schmidt_spectra`` of the one pair (state, cut)."""
+    return schmidt_spectra([(state, cut)])[0]
 
 
 def state_from_dict(payload: dict) -> PureState:

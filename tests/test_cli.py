@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import supneg
 import supneg.measures as measures
+import supneg.verify as verify
 from supneg import library, save_state
 from supneg.cli import (
     CliError,
@@ -513,6 +514,46 @@ def test_verify_reports_worst_sample_and_margin(capsys, tmp_path, monkeypatch):
         (tmp_path / "supneg_violation_dual_path_negativity.json").read_text()
     )
     assert entry["worst_sample"] == replay["inputs"]["sample"]
+
+
+def test_worst_sample_ignores_rounding_level_moves(monkeypatch):
+    def perturbed(rows_of, sign):
+        # +-1e-14 on every violation; a clipped (exactly zero) one stays zero
+        def rows(samples, seed):
+            steps = sign * np.random.default_rng(seed).choice([-1e-14, 1e-14], samples)
+            return [
+                (tuple(v + step if v else v for v in vs), inputs)
+                for step, (vs, inputs) in zip(steps, rows_of(samples, seed))
+            ]
+
+        return rows
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        before, _ = run_verify(samples=16, seed=42, tol=1e-9)
+        originals = verify.CHECKS
+        # one of the two sign patterns lowers the largest violation, whichever it is
+        for sign in (1.0, -1.0):
+            checks = tuple(c._replace(rows=perturbed(c.rows, sign)) for c in originals)
+            monkeypatch.setattr(verify, "CHECKS", checks)
+            after, _ = run_verify(samples=16, seed=42, tol=1e-9)
+            dual = "dual_path_negativity"
+            assert after[dual]["max_violation"] != before[dual]["max_violation"]
+            for name, entry in before.items():
+                assert after[name]["worst_sample"] == entry["worst_sample"], name
+                assert after[name]["pass"] == entry["pass"], name
+
+
+def test_verify_haar_block_does_not_outlive_its_run(monkeypatch):
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        summary, _ = run_verify(samples=4, seed=7, tol=1e-9)
+    assert summary["dual_path_negativity"]["pass"] is True
+    original = measures.t_matrix
+    monkeypatch.setattr(measures, "t_matrix", lambda *a, **k: 0.5 * original(*a, **k))
+    # same (samples, seed): a block kept from the first run would pass again
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        summary, _ = run_verify(samples=4, seed=7, tol=1e-9)
+    assert summary["dual_path_negativity"]["pass"] is False
 
 
 def test_verify_rejects_zero_samples(capsys):

@@ -548,6 +548,18 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def test_cut_measures_bits_do_not_depend_on_the_batch():
+    # (2,3,4) has three matricization shapes, (3,3,3) one more
+    states = [library.haar_random(dims, seed) for seed in range(4)
+              for dims in ([2, 3, 4], [3, 3, 3])]
+    pairs = [(s, cut) for s in states for cut in bipartitions(s)]
+    batch = measures.cut_measures(pairs)
+    for (s, cut), together in zip(pairs, batch):
+        alone = measures.cut_measures([(s, cut)])[0]
+        assert [float(v).hex() for v in alone] == [float(v).hex() for v in together]
+        assert alone.schmidt == negativity_schmidt(s, cut)
+
+
 def test_measure_report_is_one_pass_per_cut(monkeypatch):
     t_builds = _count_calls(monkeypatch, measures.t_matrix)
     jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
@@ -580,6 +592,19 @@ def test_verify_is_one_kernel_call_per_check(monkeypatch):
             assert len(kernel_calls) - before <= 1, check.names
     # one T build per (check, stacked shape) group: 12, not one per triple (192)
     assert len(t_builds) <= 12
+
+
+def test_verify_run_shares_one_haar_block(monkeypatch):
+    draws = _count_calls(monkeypatch, verify._haar_samples)
+    kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
+    schmidt_calls = _count_calls(monkeypatch, measures.negativity_schmidt)
+    jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        verify.run_verify(samples=8, seed=42, tol=1e-9)
+    assert len(draws) == 1  # 8 Haar states for three checks, not 24
+    assert len(kernel_calls) == 3  # the Haar block, the sandwiches, biseparability
+    assert len(schmidt_calls) == 0
+    assert len(jacobi_calls) <= 2
 
 
 def test_bounds_are_one_kernel_call(monkeypatch):

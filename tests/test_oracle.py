@@ -205,6 +205,24 @@ def test_stack_matches_each_matrix_bit_for_bit(dims):
         assert hermitian_eigenvalues(mat).tobytes() == ev.tobytes()
 
 
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3]])
+def test_residuals_and_scales_have_the_same_bits_in_any_stack(dims):
+    # 60 partial transposes, batch-last as the solver holds them
+    pts = [
+        partial_transpose(density_matrix(s), s.dims, cut.kept)
+        for s in (library.haar_random(dims, seed) for seed in range(20))
+        for cut in bipartitions(s)
+    ]
+    a = np.array(np.stack(pts).transpose(1, 2, 0), order="C")
+    for off in (True, False):
+        full = oracle._frobenius_norms(a, off)
+        for size in (1, 2, 5):
+            for start in range(0, 60, size):
+                part = np.array(a[:, :, start : start + size], order="C")
+                got = oracle._frobenius_norms(part, off)
+                assert got.tobytes() == full[start : start + size].tobytes()
+
+
 @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4], [4, 4, 4]])
 def test_stack_agrees_with_lapack(dims):
     stack = _pt_stack(dims)
