@@ -10,7 +10,7 @@ stated; clamped-at-zero variants are reported alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,16 +35,18 @@ class SuperpositionSpec:
     psi1: PureState
     psi2: PureState
     coeff_check: bool = True
+    _chi: PureState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a1", complex(self.a1))
         object.__setattr__(self, "a2", complex(self.a2))
-        # superpose's own dims and coefficient checks; the vector is not kept
-        superpose(self.a1, self.psi1, self.a2, self.psi2, self.coeff_check)
+        # superpose's own dims and coefficient checks, and the vector it builds
+        chi = superpose(self.a1, self.psi1, self.a2, self.psi2, self.coeff_check)
+        object.__setattr__(self, "_chi", chi)
 
     def superposed(self) -> PureState:
         """The raw (unnormalized) vector a1*psi1 + a2*psi2."""
-        return superpose(self.a1, self.psi1, self.a2, self.psi2, check_coefficients=False)
+        return self._chi
 
     def swapped(self) -> "SuperpositionSpec":
         return SuperpositionSpec(

@@ -23,8 +23,8 @@ T(L_P, L_Q), C(r,2) x C(min(2r, c),2) or C(r,2) x C(min(r, c),2) for
 psi = phi, has the singular values of T.
 
 The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples;
-a report, a bounds evaluation or a verify check makes one call (the three
-Haar checks of a verify run share one).  Triples of one stacked shape share
+a report, a bounds evaluation or a verify check makes one call (the Haar
+check serves three check names with one).  Triples of one stacked shape share
 one QR of their stacked transposes; T(L_P, L_Q) is then built
 T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per chunk,
 so the temporaries of a stack stay in cache (three d = 12 cross-pair T built
@@ -312,11 +312,6 @@ def cut_measures(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[CutMeas
     ]
 
 
-def concurrence_paths(state: PureState, cut: Bipartition) -> CutMeasures:
-    """``cut_measures`` of the one pair (state, cut)."""
-    return cut_measures([(state, cut)])[0]
-
-
 def _check_convention(pair: CutMeasures, cut: Bipartition) -> CutMeasures:
     if abs(pair.difference) > CONVENTION_TOL:
         raise ValueError(
@@ -332,7 +327,7 @@ def concurrence_sq(state: PureState, cut: Bipartition) -> CutMeasures:
     Raises if the two concurrence paths disagree beyond CONVENTION_TOL,
     which would signal a generator normalization bug.
     """
-    return _check_convention(concurrence_paths(state, cut), cut)
+    return _check_convention(cut_measures([(state, cut)])[0], cut)
 
 
 def _checked_cuts(state: PureState) -> list[CutMeasures]:

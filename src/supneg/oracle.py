@@ -60,7 +60,7 @@ def density_matrix(state: "PureState", max_dim: int = DEFAULT_MAX_DIM) -> np.nda
             f"dense oracle capped at total dimension {max_dim}, got {amps.size}"
         )
     # its own check, not states.require_normalized: the oracle stays independent
-    if abs(state.norm_sq - 1.0) > 1e-10:
+    if not abs(state.norm_sq - 1.0) <= 1e-10:  # a nan norm fails too
         raise ValueError("density_matrix requires a normalized state")
     return np.outer(amps, amps.conj())
 
@@ -224,6 +224,8 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square matrix or a stack of them")
     k, n = stack.shape[:2]
     a = np.array(stack.transpose(1, 2, 0), dtype=complex, order="C")
+    if not np.isfinite(a).all():  # nan compares false: it would pass the checks below
+        raise ValueError("matrix has non-finite entries")
     limit = HERMITICITY_TOL * np.maximum(1.0, np.abs(a).max(axis=(0, 1), initial=0.0))
     asym = a.conj().transpose(1, 0, 2)
     asym -= a  # in place, as the symmetrization below: one temporary at a time

@@ -201,6 +201,8 @@ def superpose(
     """
     if psi1.dims != psi2.dims:
         raise ValueError(f"dims mismatch: {psi1.dims} vs {psi2.dims}")
+    if not np.isfinite([a1, a2]).all():  # in both modes: nan slips past the weight
+        raise ValueError(f"superposition coefficients must be finite, got {a1!r}, {a2!r}")
     weight = abs(a1) ** 2 + abs(a2) ** 2
     if check_coefficients and abs(weight - 1.0) > COEFF_TOL:
         raise ValueError(

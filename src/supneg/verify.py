@@ -5,15 +5,15 @@ run seed and returns one row per sample: one violation per check name it
 produces, plus the inputs that replay the sample.  Sample ``i`` draws from
 its own stream keyed by ``seed ^ i``, so results do not depend on how the
 samples are grouped; a block check can therefore batch work across its
-samples.  The dual-path, concurrence and Haar GME checks share one Haar
-block per ``run_verify`` call: the states, drawn once, and one
-``measures.cut_measures`` call over their cuts (one cross-sum kernel call,
-stacked Schmidt SVDs).  The dual-path check adds one Jacobi-oracle call.
-The sandwich and biseparability checks make one kernel call each (the
-former through ``bounds.evaluate_bounds_batch``); the min/max lemma has
-nothing to batch and is lifted by ``_per_sample``.
+samples.  The Haar check is one entry for three names (dual path,
+concurrence identity, GME positivity): it draws the Haar states once and
+makes one ``measures.cut_measures`` call over their cuts (one cross-sum
+kernel call, stacked Schmidt SVDs) and one Jacobi-oracle call.  The sandwich
+and biseparability checks make one kernel call each (the former through
+``bounds.evaluate_bounds_batch``).
 A check passes when its largest violation over the samples is within
-tolerance; a failing check keeps the inputs of its worst sample.
+tolerance (the run's, or its entry in ``FIXED_TOLS``); a failing check keeps
+the inputs of its worst sample.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from . import bounds, library, measures, oracle
 from .states import Bipartition, PureState, bipartitions
 
 HAAR_GME_FLOOR = 1e-6  # Haar states must clear this GME negativity
+FIXED_TOLS = {"haar_gme_positive": 0.0}  # names not held to the run's tolerance
 WORST_SAMPLE_FLOOR = 1e-12  # 1e-3 x the default tolerance: ties for worst_sample
 
 
@@ -48,12 +49,6 @@ Row = tuple[tuple[float, ...], dict]  # (violation per check name, replay inputs
 class Check(NamedTuple):
     names: tuple[str, ...]
     rows: Callable[[int, int], list[Row]]  # (samples, seed) -> one row per sample
-    tol: float | None = None  # None: the tolerance the run was given
-
-
-def _per_sample(sample: Callable[[int, int], Row]) -> Callable[[int, int], list[Row]]:
-    """Lift a check of sample ``i`` to the block signature."""
-    return lambda samples, seed: [sample(i, seed) for i in range(samples)]
 
 
 def _sample_dims(index: int) -> list[int]:
@@ -75,40 +70,20 @@ def _by_state(values: list) -> list[list]:
     return [values[k : k + 3] for k in range(0, len(values), 3)]
 
 
-# the Haar block of each run_verify in progress; a check called outside a run
-# draws its own, so no block outlives its run or serves a run with patched code
-_RUN_BLOCKS: dict[tuple[int, int], tuple] = {}
-
-
-def _haar_block(samples: int, seed: int) -> tuple[list[dict], list, list[list]]:
-    """Replay inputs, cut pairs and per-sample ``cut_measures`` of the Haar
-    samples: one draw and one kernel call per run, for three checks."""
-    if (samples, seed) in _RUN_BLOCKS:
-        return _RUN_BLOCKS[samples, seed]
+def _haar(samples: int, seed: int) -> list[Row]:
     states, inputs = _haar_samples(samples, seed)
     pairs = _cut_pairs(states)
-    return inputs, pairs, _by_state(measures.cut_measures(pairs))
-
-
-def _dual_path(samples: int, seed: int) -> list[Row]:
-    # one oracle call for every sample's cuts; both fast paths are in the block
-    inputs, pairs, per_state = _haar_block(samples, seed)
+    per_state = _by_state(measures.cut_measures(pairs))
     n_pt = _by_state(list(oracle.negativities_pt_oracle(pairs)))
     rows = []
     for cuts, pts, replay in zip(per_state, n_pt, inputs):
         gaps = [abs(c.negativity - pt) for c, pt in zip(cuts, pts)]
         gaps += [abs(c.negativity - c.schmidt) for c in cuts]
-        rows.append(((max(gaps),), replay))
+        # the non-raising paths, so a broken convention is a measured violation
+        concurrence = max([0.0] + [abs(c.difference) for c in cuts])
+        gme = max(0.0, HAAR_GME_FLOOR - min(c.negativity for c in cuts))
+        rows.append(((max(gaps), concurrence, gme), replay))
     return rows
-
-
-def _concurrence_identity(samples: int, seed: int) -> list[Row]:
-    # the non-raising paths, so a broken convention is a measured violation
-    inputs, _, per_state = _haar_block(samples, seed)
-    return [
-        ((max([0.0] + [abs(c.difference) for c in cuts]),), replay)
-        for cuts, replay in zip(per_state, inputs)
-    ]
 
 
 def _degenerate_spec(seed: int) -> bounds.SuperpositionSpec:
@@ -129,14 +104,13 @@ def _sandwiches(samples: int, seed: int) -> list[Row]:
         else library.random_superposition_spec(_sample_dims(i), seed ^ i)
         for i in range(samples)
     ]
-    for spec in specs:
-        if spec.superposed().norm_sq < 1e-12:
+    rows = []
+    for i, (spec, r) in enumerate(zip(specs, bounds.evaluate_bounds_batch(specs))):
+        if r.norm_sq < 1e-12:
             warnings.warn(
                 "superposition has near-zero norm; normalized-state values are "
                 "undefined, checking bounds on the raw scaled values"
             )
-    rows = []
-    for i, (spec, r) in enumerate(zip(specs, bounds.evaluate_bounds_batch(specs))):
         v1 = max(r.t1_lower_raw - r.n_exact, r.n_exact - r.t1_upper)
         v2 = max(r.t2_lower_raw - r.ngme_exact, r.ngme_exact - r.t2_upper)
         payload = {
@@ -149,12 +123,14 @@ def _sandwiches(samples: int, seed: int) -> list[Row]:
     return rows
 
 
-def _lemma(i: int, seed: int) -> Row:
-    rng = library._rng(seed ^ i)
-    b, c, d = rng.uniform(1e-6, 10.0, size=(3, 3))
-    upper, lower = bounds.min_combine_slack(b, c, d)
-    inputs = {"sample": i, "b": list(b), "c": list(c), "d": list(d)}
-    return (max(0.0, -upper, -lower),), inputs
+def _lemma(samples: int, seed: int) -> list[Row]:
+    rows = []
+    for i in range(samples):
+        b, c, d = library._rng(seed ^ i).uniform(1e-6, 10.0, size=(3, 3))
+        upper, lower = bounds.min_combine_slack(b, c, d)
+        inputs = {"sample": i, "b": list(b), "c": list(c), "d": list(d)}
+        rows.append(((max(0.0, -upper, -lower),), inputs))
+    return rows
 
 
 def _biseparable(samples: int, seed: int) -> list[Row]:
@@ -170,21 +146,11 @@ def _biseparable(samples: int, seed: int) -> list[Row]:
     ]
 
 
-def _haar_gme_positive(samples: int, seed: int) -> list[Row]:
-    inputs, _, per_state = _haar_block(samples, seed)
-    return [
-        ((max(0.0, HAAR_GME_FLOOR - min(c.negativity for c in cuts)),), replay)
-        for cuts, replay in zip(per_state, inputs)
-    ]
-
-
 CHECKS = (
-    Check(("dual_path_negativity",), _dual_path),
-    Check(("concurrence_identity",), _concurrence_identity),
+    Check(("dual_path_negativity", "concurrence_identity", "haar_gme_positive"), _haar),
     Check(("t1_sandwich", "t2_sandwich"), _sandwiches),
-    Check(("min_combine_lemma",), _per_sample(_lemma)),
+    Check(("min_combine_lemma",), _lemma),
     Check(("biseparable_gme_zero",), _biseparable),
-    Check(("haar_gme_positive",), _haar_gme_positive, tol=0.0),
 )
 
 
@@ -194,26 +160,22 @@ def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckRes
     A check's worst sample is its first (failing, if the check fails) within
     WORST_SAMPLE_FLOOR of its largest violation: rounding cannot move it."""
     results = []
-    _RUN_BLOCKS[samples, seed] = _haar_block(samples, seed)
-    try:
-        for check in CHECKS:
-            rows = check.rows(samples, seed)
-            limit = tol if check.tol is None else check.tol
-            for k, name in enumerate(check.names):
-                column = [float(violations[k]) for violations, _ in rows]
-                top = max(column)
-                passed = top <= limit
-                worst = next(
-                    (i for i, v in enumerate(column)
-                     if v >= top - WORST_SAMPLE_FLOOR and (passed or v > limit)),
-                    column.index(top),  # a nan maximum: no sample compares
-                )
-                inputs = None if passed else rows[worst][1]
-                results.append(
-                    CheckResult(name, samples, top, passed, worst, limit - top, inputs)
-                )
-    finally:
-        del _RUN_BLOCKS[samples, seed]
+    for check in CHECKS:
+        rows = check.rows(samples, seed)
+        for k, name in enumerate(check.names):
+            limit = FIXED_TOLS.get(name, tol)
+            column = [float(violations[k]) for violations, _ in rows]
+            top = max(column)
+            passed = top <= limit
+            worst = next(
+                (i for i, v in enumerate(column)
+                 if v >= top - WORST_SAMPLE_FLOOR and (passed or v > limit)),
+                column.index(top),  # a nan maximum: no sample compares
+            )
+            inputs = None if passed else rows[worst][1]
+            results.append(
+                CheckResult(name, samples, top, passed, worst, limit - top, inputs)
+            )
     summary = {
         c.name: {
             "samples": c.samples,

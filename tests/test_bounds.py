@@ -50,6 +50,12 @@ def test_spec_validates_coefficients(ghz, w):
     SuperpositionSpec(1.0, 1.0, ghz, w, coeff_check=False)
 
 
+def test_spec_rejects_non_finite_coefficients(ghz, w):
+    # before the bounds: a nan coefficient used to fail late, in an SVD
+    with pytest.raises(ValueError, match="finite"):
+        SuperpositionSpec(complex("nan"), 1.0, ghz, w)
+
+
 def test_spec_validates_dims(ghz):
     with pytest.raises(ValueError, match="dims"):
         SuperpositionSpec(S2, S2, ghz, library.ghz(3))

@@ -607,6 +607,14 @@ def test_verify_run_shares_one_haar_block(monkeypatch):
     assert len(jacobi_calls) <= 2
 
 
+def test_verify_superposes_each_spec_once(monkeypatch):
+    superpositions = _count_calls(monkeypatch, states.superpose)
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        verify.run_verify(samples=40, seed=42, tol=1e-9)
+    # the spec keeps the vector it validates; the warning reads the report
+    assert len(superpositions) == 40
+
+
 def test_bounds_are_one_kernel_call(monkeypatch):
     kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
     t_builds = _count_calls(monkeypatch, measures.t_matrix)

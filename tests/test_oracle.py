@@ -63,6 +63,16 @@ def test_density_matrix_dimension_cap():
     density_matrix(s, max_dim=343)  # raisable per call
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_amplitudes(ghz, bad):
+    from supneg.states import PureState
+
+    amps = ghz.amplitudes.copy()
+    amps[3] = bad
+    with pytest.raises(ValueError, match="normalized"):
+        density_matrix(PureState(ghz.dims, amps))
+
+
 # -------------------------------------------------------- partial transpose
 
 
@@ -143,6 +153,26 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         hermitian_eigenvalues(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_eigenvalues_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]))
+    stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    stack[1, 0, 2] = stack[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigenvalues(stack)
+
+
+def test_pt_oracle_never_returns_nan(ghz):
+    from supneg.states import PureState
+
+    amps = ghz.amplitudes.copy()
+    amps[0] = np.nan
+    state = PureState(ghz.dims, amps)
+    with pytest.raises(ValueError):
+        negativities_pt_oracle([(state, cut) for cut in bipartitions(state)])
 
 
 def test_eigenvalues_zero_matrix():

@@ -190,6 +190,15 @@ def test_superpose_coefficient_constraint(ghz, w):
     assert chi.norm_sq > 1.0
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), float("inf"), complex(0.0, float("inf"))])
+@pytest.mark.parametrize("check", [True, False])
+def test_superpose_rejects_non_finite_coefficients(ghz, w, bad, check):
+    with pytest.raises(ValueError, match="finite"):
+        superpose(bad, ghz, 1.0, w, check_coefficients=check)
+    with pytest.raises(ValueError, match="finite"):
+        superpose(S2, ghz, bad, w, check_coefficients=check)
+
+
 def test_superpose_dims_mismatch(ghz):
     with pytest.raises(ValueError, match="dims"):
         superpose(S2, ghz, S2, library.ghz(3))
