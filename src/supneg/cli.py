@@ -4,6 +4,12 @@ Exit codes are a stable contract: 0 success, 1 verification violation,
 2 usage or input error.  The checks behind ``verify`` live in
 ``supneg.verify``; this module parses arguments and writes the summary and
 replay files.  Identical (config, seed) gives byte-identical files.
+
+``main(argv)`` may be called any number of times in one process: the
+parser is built on the first call and reused, since argparse keeps no state
+between ``parse_args`` calls.  Each subcommand's ``cmd_*`` function is bound
+(``set_defaults(fn=...)``) when the parser is built, so rebinding a
+``cmd_*`` name afterwards does not reach ``main``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -266,7 +273,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``supneg`` parser, built once per process and shared by ``main``."""
     parser = argparse.ArgumentParser(
         prog="supneg",
         description="Entanglement measures and superposition bounds for "

@@ -13,8 +13,9 @@ dimension.  A sweep is a round-robin (circle method) ordering in the manner
 of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985): each round rotates
 floor(n/2) disjoint pairs together, on a batch-last ``(n, n, k)`` working
 copy of the stack whose row and column gathers are contiguous.  A round
-reads its a_pq, a_pp and a_qq in one gather of flat indices, cached per
-solve, and zeroes a_pq and a_qp in one flat write.  The Hermiticity check,
+reads its a_pq, a_pp and a_qq in one gather of flat indices and zeroes a_pq
+and a_qp in one flat write; a size's rounds and their indices are built on
+its first solve and cached read-only for the process.  The Hermiticity check,
 the symmetrization, the scales and the per-sweep residuals are whole-stack
 array operations; each norm is summed in entry order, so a matrix's residual
 has the same bits alone as in any stack.  Jacobi stays the accuracy
@@ -24,6 +25,7 @@ ordering and the stack only remove Python-level steps.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -119,6 +121,20 @@ def _rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         # circle method: seat 0 stays put, every other index moves one seat on
         seats[1:] = seats[-1:] + seats[1:-1]
     return rounds
+
+
+@lru_cache(maxsize=64)
+def _schedule(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``_rounds(n)`` as ``_rotate_round`` takes them, with each round's flat
+    gather and zero indices; read-only, as cached."""
+    rounds = []
+    for p, q in _rounds(n):
+        rnd = (p, q, np.concatenate((p * n + q, p * (n + 1), q * (n + 1))),
+               np.concatenate((p * n + q, q * n + p)))
+        for index in rnd:
+            index.setflags(write=False)
+        rounds.append(rnd)
+    return tuple(rounds)
 
 
 def _mix(x, y, c, t, g01, g11, out) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +254,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     # rotating entries this small cannot help convergence, only cost time
     skip = JACOBI_REL_TOL * scale / (n * n)
 
-    rounds = [
-        (p, q, np.concatenate((p * n + q, p * (n + 1), q * (n + 1))),
-         np.concatenate((p * n + q, q * n + p)))
-        for p, q in _rounds(n)
-    ]
+    rounds = _schedule(n)
     scratch = [np.empty(n // 2 * n * k, dtype=complex) for _ in range(3)]
     eigs = np.empty((k, n))
     live = np.arange(k)  # the stack member held in each column of a

@@ -148,6 +148,12 @@ class SchmidtSpectrum:
         return int(np.count_nonzero(self.lambdas > 1e-12))
 
 
+def _require_finite(amplitudes: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(amplitudes))
+    if bad.size:
+        raise ValueError(f"non-finite amplitudes at indices {bad.tolist()}")
+
+
 def new_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     """Build a state from raw amplitudes without normalizing.
 
@@ -156,9 +162,7 @@ def new_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     constructor so that their possibly vanishing norm stays representable.
     """
     state = PureState(dims, amplitudes)
-    bad = np.flatnonzero(~np.isfinite(state.amplitudes))
-    if bad.size:
-        raise ValueError(f"non-finite amplitudes at indices {bad.tolist()}")
+    _require_finite(state.amplitudes)
     if np.sqrt(state.norm_sq) < ZERO_NORM_TOL:
         raise ValueError("zero vector is not a valid state")
     return state
@@ -175,13 +179,15 @@ def normalize(state: PureState) -> tuple[PureState, float]:
 
     Amplitudes above ~1e154 overflow the squared norm, returned as inf; such
     a vector is scaled by its largest modulus before it is normalized.
+    Non-finite amplitudes raise ValueError.
     """
     norm_sq = state.norm_sq
-    if np.sqrt(norm_sq) < ZERO_NORM_TOL:
-        raise ValueError("cannot normalize a (near-)zero vector")
     if not math.isfinite(norm_sq):
+        _require_finite(state.amplitudes)
         big = state.amplitudes / np.abs(state.amplitudes).max()
         return PureState(state.dims, big / np.linalg.norm(big)), math.inf
+    if np.sqrt(norm_sq) < ZERO_NORM_TOL:
+        raise ValueError("cannot normalize a (near-)zero vector")
     return PureState(state.dims, state.amplitudes / np.sqrt(norm_sq)), norm_sq
 
 

@@ -158,7 +158,10 @@ def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckRes
     """Run every property check; returns (summary dict, individual results).
 
     A check's worst sample is its first (failing, if the check fails) within
-    WORST_SAMPLE_FLOOR of its largest violation: rounding cannot move it."""
+    WORST_SAMPLE_FLOOR of its largest violation: rounding cannot move it.
+    A tolerance that is not a finite number >= 0 raises ValueError."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"verify tolerance must be finite and >= 0, got {tol!r}")
     results = []
     for check in CHECKS:
         rows = check.rows(samples, seed)

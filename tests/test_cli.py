@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supneg
+import supneg.cli as cli
 import supneg.measures as measures
 import supneg.verify as verify
 from supneg import library, save_state
@@ -560,7 +562,79 @@ def test_verify_rejects_zero_samples(capsys):
     assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tolerance(capsys, tmp_path, monkeypatch, tol):
+    monkeypatch.chdir(tmp_path)  # where replay files of failing checks would go
+    code, out, err = run_cli(capsys, "verify", "--samples", "2", "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: verify tolerance must be finite and >= 0")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="tolerance"):
+        run_verify(samples=2, seed=42, tol=float(tol))
+
+
 # ------------------------------------------------------------- entry point
+
+
+def _cli_sequence(capsys, out_dir):
+    """(exit code, stdout, stderr, files written) of each argv, in order."""
+    csv = str(out_dir / "sweep.csv")
+    sequence = [
+        ["measure", "--named", "ghz"],
+        ["measure", "--named", "w", "--format", "csv"],
+        ["bounds", "--s1", "named:ghz", "--s2", "named:w", "--p", "0.3",
+         "--dump-terms"],
+        ["bounds", "--s1", "named:ghz", "--s2", "named:w", "--a1", "0.6",
+         "--a2", "0.8i"],
+        ["bounds", "--s1", "named:ghz", "--s2", "named:w", "--p", "0.5"],
+        ["measure", "--named", "ghz", "--file", "x.json"],  # argparse usage error
+        ["measure", "--named", "nope"],  # input error
+        ["sweep", "--grid", "0,1,5", "--out", csv],
+        ["verify", "--samples", "2"],
+    ]
+    results = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        results.append((code, captured.out, captured.err, files))
+    return results
+
+
+def test_repeated_main_calls_match_a_fresh_parser_each(capsys, tmp_path, monkeypatch):
+    cached_dir, fresh_dir = tmp_path / "cached", tmp_path / "fresh"
+    cached_dir.mkdir()
+    fresh_dir.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cached = _cli_sequence(capsys, cached_dir)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = _cli_sequence(capsys, fresh_dir)
+    assert [r[0] for r in cached] == [0, 0, 0, 0, 0, 2, 2, 0, 0]
+    assert cached == fresh
+    assert "not allowed with argument" in cached[5][2]
+    assert set(cached[7][3]) == {"sweep.csv", "sweep.csv.fit.json"}
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv in (["measure", "--named", "ghz"], ["measure", "--named", "w"],
+                 ["sweep", "--grid", "0,1,3"], ["measure", "--named", "ghz"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    # the top-level parser and one per subcommand, each built once
+    assert sorted(built) == ["supneg", "supneg bounds", "supneg measure",
+                             "supneg sweep", "supneg verify"]
 
 
 def test_module_entry_point_subprocess():

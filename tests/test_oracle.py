@@ -226,6 +226,27 @@ def test_round_robin_schedule_covers_every_pair_once(n):
     assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def test_schedule_is_built_once_per_size_and_read_only(monkeypatch):
+    calls = []
+    rounds = oracle._rounds
+
+    def counting_rounds(n):
+        calls.append(n)
+        return rounds(n)
+
+    monkeypatch.setattr(oracle, "_rounds", counting_rounds)
+    oracle._schedule.cache_clear()
+    stack = _pt_stack([2, 2, 2])
+    first = hermitian_eigenvalues(stack)
+    assert hermitian_eigenvalues(stack).tobytes() == first.tobytes()
+    hermitian_eigenvalues(stack[0])
+    assert calls == [8]
+    schedule = oracle._schedule(8)
+    assert len(schedule) == len(rounds(8))
+    for rnd in schedule:
+        assert not any(index.flags.writeable for index in rnd)
+
+
 @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4], [4, 4, 4]])
 def test_stack_matches_each_matrix_bit_for_bit(dims):
     stack = _pt_stack(dims)

@@ -1,5 +1,6 @@
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,16 @@ def test_normalize_parallel_superposition(ghz):
     np.testing.assert_allclose(out.amplitudes, ghz.amplitudes, atol=1e-15)
     inner = complex(np.vdot(chi.amplitudes, chi.amplitudes))
     assert norm_sq == pytest.approx(inner.real)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_normalize_rejects_non_finite_amplitudes(ghz, bad):
+    amps = ghz.amplitudes.copy()
+    amps[0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ValueError, match=r"non-finite amplitudes at indices \[0\]"):
+            normalize(PureState(ghz.dims, amps))
 
 
 def test_normalize_rejects_zero():
