@@ -10,14 +10,11 @@ from .bounds import (
     BoundsReport,
     CrossTermTable,
     SuperpositionSpec,
-    cross_terms,
     evaluate_bounds,
     evaluate_bounds_batch,
     fit_gme_closed_form,
-    gme_negativity_bounds,
     min_combine_lower,
     min_combine_upper,
-    total_negativity_bounds,
     z_family_sweep,
 )
 from .library import (
@@ -30,19 +27,11 @@ from .library import (
     z_family,
 )
 from .measures import (
-    GeneratorPair,
     MeasureReport,
-    bilinear_form,
-    bilinear_matrix,
-    concurrence_sq,
-    cross_sum,
     cross_sums,
-    generator_pairs,
     gme_concurrence,
     gme_negativity,
-    is_biseparable,
     measure_report,
-    multipartite_concurrence_sq,
     multipartite_negativity,
     negativity_schmidt,
     negativities_so,
@@ -52,9 +41,7 @@ from .oracle import (
     density_matrix,
     hermitian_eigenvalues,
     negativities_pt_oracle,
-    negativity_pt_oracle,
     partial_transpose,
-    trace_norm,
 )
 from .states import (
     Bipartition,
@@ -68,7 +55,6 @@ from .states import (
     normalize,
     reduced_density,
     save_state,
-    schmidt_spectrum,
     superpose,
 )
 

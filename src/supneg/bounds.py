@@ -48,11 +48,6 @@ class SuperpositionSpec:
         """The raw (unnormalized) vector a1*psi1 + a2*psi2."""
         return self._chi
 
-    def swapped(self) -> "SuperpositionSpec":
-        return SuperpositionSpec(
-            self.a2, self.a1, self.psi2, self.psi1, coeff_check=self.coeff_check
-        )
-
 
 @dataclass(frozen=True)
 class CrossTermTable:
@@ -144,11 +139,6 @@ def _table(spec: SuperpositionSpec, sums: Sequence[float]) -> CrossTermTable:
     )
 
 
-def cross_terms(spec: SuperpositionSpec) -> CrossTermTable:
-    """All nine raw cross sums (3 cuts x 3 state pairs) and derived scalars."""
-    return _table(spec, cross_sums(_triples(_component_pairs(spec))))
-
-
 def _total_bounds(t: CrossTermTable) -> BoundTriple:
     upper = t.f11_multi + t.f22_multi + 2.0 * t.f12_multi
     lower_raw = max(
@@ -171,16 +161,6 @@ def _gme_bounds(t: CrossTermTable) -> BoundTriple:
         -t.f11 - t.f22 + 2.0 * t.g12,
     )
     return BoundTriple(upper, lower_raw, max(lower_raw, 0.0))
-
-
-def total_negativity_bounds(spec: SuperpositionSpec) -> BoundTriple:
-    """Bounds on ||chi||^2 N(chi') for the total multipartite negativity."""
-    return _total_bounds(cross_terms(spec))
-
-
-def gme_negativity_bounds(spec: SuperpositionSpec) -> BoundTriple:
-    """Bounds on ||chi||^2 N_GME(chi')."""
-    return _gme_bounds(cross_terms(spec))
 
 
 def min_combine_slack(
@@ -251,7 +231,7 @@ def evaluate_bounds(spec: SuperpositionSpec) -> BoundsReport:
     """Exact scaled negativities of the superposition and all four bounds.
 
     The exact values come straight from the cross sums of the raw chi:
-    cross_sum is quadratic in its arguments, so no normalization step is
+    a cross sum is quadratic in its arguments, so no normalization step is
     needed and a vanishing-norm chi simply yields exact values near zero.
     """
     return evaluate_bounds_batch([spec])[0]

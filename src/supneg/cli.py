@@ -230,7 +230,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     reports = bounds_mod.z_family_sweep(p_grid, phi)
     csv_text = bounds_mod.sweep_csv(p_grid, phi, reports)
     _emit(csv_text, args.out)
-    if args.out is not None:
+    if args.out is not None or args.sidecar:
         sidecar_path = args.sidecar or f"{args.out}.fit.json"
         Path(sidecar_path).write_text(
             _json_text(sweep_sidecar(p_grid, phi, reports)), encoding="utf-8"
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", default="0,1,21", help="start,stop,steps")
     p_sweep.add_argument("--phi", default="0.0", type=float)
     p_sweep.add_argument("--out", default=None, help="CSV path; sidecar goes next to it")
-    p_sweep.add_argument("--sidecar", default=None, help="fit JSON path override")
+    p_sweep.add_argument("--sidecar", default=None, help="fit JSON path; needs no --out")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the property-check harness")

@@ -97,24 +97,6 @@ def random_superposition_spec(dims: Sequence[int], seed: int) -> "SuperpositionS
     return SuperpositionSpec(complex(coeffs[0]), complex(coeffs[1]), psi1, psi2)
 
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    rng = _rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def apply_product_unitary(state: PureState, unitaries: Sequence[np.ndarray]) -> PureState:
-    """Apply U_1 x U_2 x ... x U_n to an n-partite state."""
-    if len(unitaries) != len(state.dims):
-        raise ValueError("need one unitary per subsystem")
-    t = state.tensor()
-    for k, u in enumerate(unitaries):
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
-    return PureState(state.dims, t.reshape(-1))
-
-
 def random_biseparable(cut: Bipartition, dims: Sequence[int], seed: int) -> PureState:
     """Haar state on the kept subsystem tensored with a Haar state on the rest.
 

@@ -30,7 +30,8 @@ T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per chunk,
 so the temporaries of a stack stay in cache (three d = 12 cross-pair T built
 at once took 2.2-2.6 ms, against 0.6 ms one at a time).  LAPACK factors
 each matrix of a stack on its own and T is entry-wise, so a triple gets the
-same bits alone as in any batch.
+same bits alone as in any batch.  The dense T and the single bilinear form,
+the references this kernel is checked against, live in ``tests/reference.py``.
 
 Determinism: generator pairs are enumerated lexicographically and every
 reduction has a fixed order, so identical inputs give bit-identical results.
@@ -52,19 +53,10 @@ from .states import (
     matricize,
     require_normalized,
     schmidt_spectra,
-    schmidt_spectrum,
 )
 
 T_CHUNK_ENTRIES = 2**14  # T entries per t_matrix call: keeps stacked temporaries in cache
 CONVENTION_TOL = 1e-8  # disagreement between concurrence paths beyond this is a bug
-BISEPARABLE_TOL = 1e-9
-
-
-class GeneratorPair(NamedTuple):
-    """Index pair (i, j), i < j, selecting one antisymmetric generator."""
-
-    i: int
-    j: int
 
 
 class CutMeasures(NamedTuple):
@@ -78,49 +70,6 @@ class CutMeasures(NamedTuple):
     @property
     def difference(self) -> float:
         return self.generator - self.density
-
-
-def generator_pairs(dim: int) -> list[GeneratorPair]:
-    """All (i, j) with i < j < dim, lexicographic; dim*(dim-1)/2 of them."""
-    if dim < 2:
-        raise ValueError(f"generator pairs need dimension >= 2, got {dim}")
-    return [GeneratorPair(i, j) for i in range(dim - 1) for j in range(i + 1, dim)]
-
-
-def _conj_matricizations(
-    psi: PureState, phi: PureState, cut: Bipartition
-) -> tuple[np.ndarray, np.ndarray]:
-    if psi.dims != phi.dims:
-        raise ValueError(f"dims mismatch: {psi.dims} vs {phi.dims}")
-    return matricize(psi, cut).conj(), matricize(phi, cut).conj()
-
-
-def bilinear_form(
-    psi: PureState,
-    phi: PureState,
-    cut: Bipartition,
-    alpha: GeneratorPair,
-    beta: GeneratorPair,
-) -> complex:
-    """<psi| L_alpha x S_beta |phi*> for one generator pair.
-
-    Each J has exactly 4 nonzero entries, so this is four products of
-    conjugated amplitudes read off the matricizations:
-
-        B = p[i,k] q[j,l] - p[i,l] q[j,k] - p[j,k] q[i,l] + p[j,l] q[i,k]
-
-    with p, q the conjugated matricizations of psi, phi.
-    """
-    p, q = _conj_matricizations(psi, phi, cut)
-    i, j = alpha
-    k, l = beta
-    if not (0 <= i < j < cut.row_dim and 0 <= k < l < cut.col_dim):
-        raise ValueError(f"generator pair out of range for cut {cut.label}")
-    # grouped so psi <-> phi swaps summands pairwise: exact symmetry in floats
-    return complex(
-        (p[i, k] * q[j, l] + q[i, k] * p[j, l])
-        - (p[i, l] * q[j, k] + q[i, l] * p[j, k])
-    )
 
 
 @lru_cache(maxsize=64)
@@ -156,16 +105,6 @@ def t_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     u += x
     t -= u
     return t
-
-
-def bilinear_matrix(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndarray:
-    """All bilinear forms as a dense D1 x D2 matrix, rows alpha, columns beta.
-
-    Row and column pairs run lexicographically.  For psi = phi the entries
-    are twice the 2x2 minors of the conjugated matricization.  This is the
-    reference for the compressed kernel; cross sums never build it.
-    """
-    return t_matrix(*_conj_matricizations(psi, phi, cut))
 
 
 def _stacked_lq(members: list[list[np.ndarray]]) -> np.ndarray:
@@ -235,20 +174,10 @@ def cross_sum_spectra(
 def cross_sums(
     triples: Iterable[tuple[PureState, PureState, Bipartition]],
 ) -> list[float]:
-    """``cross_sum`` of every (psi, phi, cut) triple, from one kernel call."""
+    """Trace norm of T(P, Q) for every (psi, phi, cut) triple, from one kernel
+    call: nonnegative, symmetric in (psi, phi) bit for bit, and quadratic in
+    each state, so on a raw chi it is ||chi||^2 times the per-cut negativity."""
     return [float(sigma.sum()) for sigma in cross_sum_spectra(triples)]
-
-
-def cross_sum(psi: PureState, phi: PureState, cut: Bipartition) -> float:
-    """Trace norm of the bilinear-form matrix for one cut.
-
-    Nonnegative, symmetric in (psi, phi) bit for bit, and quadratic under
-    rescaling of either argument -- so applied to an unnormalized chi it
-    directly yields ||chi||^2 times the per-cut negativity of the normalized
-    state.  Computed from the LQ factors of the matricizations (see the
-    module docstring), never from the dense bilinear_matrix.
-    """
-    return cross_sums([(psi, phi, cut)])[0]
 
 
 def negativities_so(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[float]:
@@ -275,7 +204,7 @@ def _schmidt_negativity(lam: np.ndarray) -> float:
 
 def negativity_schmidt(state: PureState, cut: Bipartition) -> float:
     """Per-cut negativity from the Schmidt spectrum: (sum sqrt(lambda))^2 - 1."""
-    return _schmidt_negativity(schmidt_spectrum(state, cut).lambdas)
+    return _schmidt_negativity(schmidt_spectra([(state, cut)])[0].lambdas)
 
 
 def multipartite_negativity(state: PureState) -> float:
@@ -321,51 +250,18 @@ def _check_convention(pair: CutMeasures, cut: Bipartition) -> CutMeasures:
     return pair
 
 
-def concurrence_sq(state: PureState, cut: Bipartition) -> CutMeasures:
-    """All per-cut values, with the squared concurrence computed both ways.
-
-    Raises if the two concurrence paths disagree beyond CONVENTION_TOL,
-    which would signal a generator normalization bug.
-    """
-    return _check_convention(cut_measures([(state, cut)])[0], cut)
-
-
 def _checked_cuts(state: PureState) -> list[CutMeasures]:
-    """``concurrence_sq`` of every cut, A|BC first, from one kernel call."""
+    """``cut_measures`` of every cut, A|BC first, from one kernel call; raises
+    if the two concurrence paths disagree beyond CONVENTION_TOL, which would
+    signal a generator normalization bug."""
     cuts = bipartitions(state)
     measured = cut_measures((state, cut) for cut in cuts)
     return [_check_convention(pair, cut) for pair, cut in zip(measured, cuts)]
 
 
-def multipartite_concurrence_sq(state: PureState) -> float:
-    """Sum over cuts of 2(1 - Tr rho_gamma^2)."""
-    return sum(c.density for c in _checked_cuts(state))
-
-
 def gme_concurrence(state: PureState) -> float:
     """min over cuts of sqrt(2 (1 - Tr rho_gamma^2))."""
     return float(np.sqrt(min(c.density for c in _checked_cuts(state))))
-
-
-@dataclass(frozen=True)
-class BiseparabilityReport:
-    separable: tuple[bool, bool, bool]  # per cut, A|BC first
-    biseparable: bool
-    negativities: tuple[float, float, float]
-    tol: float
-
-
-def is_biseparable(state: PureState) -> BiseparabilityReport:
-    """Flag cuts with negativity <= BISEPARABLE_TOL as product; biseparable if any.
-
-    For pure states a cut is product iff its negativity vanishes iff its
-    Schmidt rank is 1; the flags below use the negativity test.
-    """
-    negs = tuple(_cut_negativities(state))
-    flags = tuple(n <= BISEPARABLE_TOL for n in negs)
-    return BiseparabilityReport(
-        separable=flags, biseparable=any(flags), negativities=negs, tol=BISEPARABLE_TOL
-    )
 
 
 @dataclass(frozen=True)
@@ -396,9 +292,10 @@ class MeasureReport:
 def measure_report(state: PureState) -> MeasureReport:
     """Evaluate every measure of a normalized tripartite state.
 
-    One ``concurrence_sq`` pass per cut, with the three T spectra from one
-    kernel call.  The multipartite negativity is 2 * sum of the per-cut
-    values and the GME negativity is their min, both by construction.  Diagnostics carry the Schmidt-path negativities, the
+    One checked ``cut_measures`` pass over the three cuts, with their T
+    spectra from one kernel call.  The multipartite negativity is 2 * sum of
+    the per-cut values and the GME negativity is their min, both by
+    construction.  Diagnostics carry the Schmidt-path negativities, the
     concurrence path differences, and the GME concurrence without the
     factor 2 under the root (an alternate convention some references use).
     """

@@ -33,8 +33,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .states import Bipartition, PureState
 
-# Dense work is capped so verification runs stay interactive; raise per call
-# if you really want bigger systems.
+# Dense work is capped so verification runs stay interactive.
 DEFAULT_MAX_DIM = 256
 
 HERMITICITY_TOL = 1e-10
@@ -54,12 +53,12 @@ class JacobiConvergenceError(RuntimeError):
         )
 
 
-def density_matrix(state: "PureState", max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+def density_matrix(state: "PureState") -> np.ndarray:
     """Rank-1 projector |psi><psi| of a normalized pure state."""
     amps = state.amplitudes
-    if amps.size > max_dim:
+    if amps.size > DEFAULT_MAX_DIM:
         raise ValueError(
-            f"dense oracle capped at total dimension {max_dim}, got {amps.size}"
+            f"dense oracle capped at total dimension {DEFAULT_MAX_DIM}, got {amps.size}"
         )
     # its own check, not states.require_normalized: the oracle stays independent
     if not abs(state.norm_sq - 1.0) <= 1e-10:  # a nan norm fails too
@@ -279,11 +278,6 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return eigs[0].copy() if single else np.ascontiguousarray(eigs)
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(hermitian_eigenvalues(matrix)).sum())
-
-
 def negativities_pt_oracle(
     pairs: Iterable[tuple["PureState", "Bipartition"]],
 ) -> np.ndarray:
@@ -310,8 +304,3 @@ def negativities_pt_oracle(
         eigs = hermitian_eigenvalues(stack)
         negativities[members] = np.abs(eigs).sum(axis=1) - 1.0
     return negativities
-
-
-def negativity_pt_oracle(state: "PureState", cut: "Bipartition") -> float:
-    """``negativities_pt_oracle`` of the one pair (state, cut)."""
-    return float(negativities_pt_oracle([(state, cut)])[0])

@@ -238,19 +238,12 @@ def matricize(state: PureState, cut: Bipartition) -> np.ndarray:
     )
 
 
-def reduced_density(
-    state: PureState, cut: Bipartition, norm_sq: float | None = None
-) -> np.ndarray:
-    """Reduced density matrix of the kept subsystem, rho = M M^dagger.
-
-    Requires a normalized state unless the caller passes ``norm_sq``
-    explicitly, in which case the result is scaled to unit trace.
-    """
-    if norm_sq is None:
-        require_normalized(state, "reduced_density without an explicit norm_sq")
-        norm_sq = 1.0
+def reduced_density(state: PureState, cut: Bipartition) -> np.ndarray:
+    """Reduced density matrix of the kept subsystem of a normalized state,
+    rho = M M^dagger."""
+    require_normalized(state, "reduced_density")
     m = matricize(state, cut)
-    return (m @ m.conj().T) / norm_sq
+    return m @ m.conj().T
 
 
 def schmidt_spectra(
@@ -265,7 +258,7 @@ def schmidt_spectra(
     pairs = list(pairs)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (state, cut) in enumerate(pairs):
-        require_normalized(state, "schmidt_spectrum")
+        require_normalized(state, "schmidt_spectra")
         groups.setdefault((cut.row_dim, cut.col_dim), []).append(i)
     spectra: list = [None] * len(pairs)
     for members in groups.values():
@@ -274,11 +267,6 @@ def schmidt_spectra(
         for i, lam in zip(members, np.clip(s * s, 0.0, 1.0)):
             spectra[i] = SchmidtSpectrum(lam)
     return spectra
-
-
-def schmidt_spectrum(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
-    """``schmidt_spectra`` of the one pair (state, cut)."""
-    return schmidt_spectra([(state, cut)])[0]
 
 
 def state_from_dict(payload: dict) -> PureState:

@@ -1,5 +1,6 @@
 import pytest
 
+from reference import haar_unitary
 from supneg import library
 
 
@@ -18,4 +19,4 @@ def haar(dims, seed):
 
 
 def random_product_unitaries(dims, seed):
-    return [library.haar_unitary(d, seed + 1000 * k) for k, d in enumerate(dims)]
+    return [haar_unitary(d, seed + 1000 * k) for k, d in enumerate(dims)]

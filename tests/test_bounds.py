@@ -7,14 +7,11 @@ from supneg import library, measures
 from supneg.bounds import (
     SWEEP_COLUMNS,
     SuperpositionSpec,
-    cross_terms,
     evaluate_bounds,
     fit_gme_closed_form,
-    gme_negativity_bounds,
     min_combine_lower,
     min_combine_upper,
     sweep_csv,
-    total_negativity_bounds,
     z_family_sweep,
 )
 from supneg.states import bipartitions, matricize, new_state, normalize
@@ -66,7 +63,7 @@ def test_spec_validates_dims(ghz):
 
 def test_cross_terms_ghz_pair(ghz):
     spec = SuperpositionSpec(S2, S2, ghz, ghz)
-    t = cross_terms(spec)
+    t = evaluate_bounds(spec).terms
     np.testing.assert_allclose(t.s12, [1.0, 1.0, 1.0], atol=1e-12)
     assert t.f12 == pytest.approx(0.5, abs=1e-12)
     assert t.g12 == pytest.approx(0.5, abs=1e-12)
@@ -74,14 +71,14 @@ def test_cross_terms_ghz_pair(ghz):
 
 def test_cross_terms_disjoint_basis_components():
     spec = SuperpositionSpec(S2, S2, basis_state(0), basis_state(7))
-    t = cross_terms(spec)
+    t = evaluate_bounds(spec).terms
     np.testing.assert_allclose(t.s11, [0.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(t.s22, [0.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(t.s12, [1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_cross_terms_degenerate_second_coefficient(ghz, w):
-    t = cross_terms(SuperpositionSpec(1.0, 0.0, ghz, w))
+    t = evaluate_bounds(SuperpositionSpec(1.0, 0.0, ghz, w)).terms
     for name in ("f22_multi", "f12_multi", "f22", "f12", "g22", "g12"):
         assert getattr(t, name) == 0.0
 
@@ -90,7 +87,7 @@ def test_cross_terms_degenerate_second_coefficient(ghz, w):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cross_terms_identities_on_random_specs(seed):
     spec = library.random_superposition_spec([2, 2, 2], seed)
-    t = cross_terms(spec)
+    t = evaluate_bounds(spec).terms
     # the aggregated self terms are the weighted total negativities
     assert t.f11_multi == pytest.approx(
         abs(spec.a1) ** 2 * measures.multipartite_negativity(spec.psi1), abs=1e-10
@@ -107,18 +104,16 @@ def test_cross_terms_identities_on_random_specs(seed):
 
 
 def test_total_bounds_degenerate_superposition(ghz, w):
-    spec = SuperpositionSpec(1.0, 0.0, ghz, w)
-    upper, lower_raw, lower = total_negativity_bounds(spec)
-    assert upper == pytest.approx(6.0, abs=1e-12)
-    assert lower_raw == pytest.approx(6.0, abs=1e-12)
-    assert lower == pytest.approx(6.0, abs=1e-12)
+    r = evaluate_bounds(SuperpositionSpec(1.0, 0.0, ghz, w))
+    assert r.t1_upper == pytest.approx(6.0, abs=1e-12)
+    assert r.t1_lower_raw == pytest.approx(6.0, abs=1e-12)
+    assert r.t1_lower == pytest.approx(6.0, abs=1e-12)
 
 
 def test_total_bounds_tight_for_disjoint_products():
     spec = SuperpositionSpec(S2, S2, basis_state(0), basis_state(7))
-    upper, _, _ = total_negativity_bounds(spec)
     report = evaluate_bounds(spec)
-    assert upper == pytest.approx(6.0, abs=1e-12)
+    assert report.t1_upper == pytest.approx(6.0, abs=1e-12)
     assert report.n_exact == pytest.approx(6.0, abs=1e-12)
 
 
@@ -126,17 +121,15 @@ def test_total_bounds_tight_for_disjoint_products():
 
 
 def test_gme_bounds_degenerate_superposition(ghz, w):
-    spec = SuperpositionSpec(1.0, 0.0, ghz, w)
-    upper, lower_raw, lower = gme_negativity_bounds(spec)
-    assert upper == pytest.approx(1.0, abs=1e-12)
-    assert lower == pytest.approx(1.0, abs=1e-12)
+    r = evaluate_bounds(SuperpositionSpec(1.0, 0.0, ghz, w))
+    assert r.t2_upper == pytest.approx(1.0, abs=1e-12)
+    assert r.t2_lower == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gme_bounds_tight_for_disjoint_products():
     spec = SuperpositionSpec(S2, S2, basis_state(0), basis_state(7))
-    upper, _, _ = gme_negativity_bounds(spec)
     report = evaluate_bounds(spec)
-    assert upper == pytest.approx(1.0, abs=1e-12)
+    assert report.t2_upper == pytest.approx(1.0, abs=1e-12)
     assert report.ngme_exact == pytest.approx(1.0, abs=1e-12)
 
 
@@ -228,25 +221,23 @@ def test_phase_covariance_of_bounds():
     rotated = SuperpositionSpec(
         spec.a1 * np.exp(0.9j), spec.a2 * np.exp(-1.3j), spec.psi1, spec.psi2
     )
-    for fn in (total_negativity_bounds, gme_negativity_bounds):
-        a, b = fn(spec), fn(rotated)
-        # bounds depend only on coefficient magnitudes; |a e^{i theta}|
-        # differs from |a| by at most one ulp, hence the tight tolerance
-        assert b.upper == pytest.approx(a.upper, abs=1e-12)
-        assert b.lower_raw == pytest.approx(a.lower_raw, abs=1e-12)
-        assert b.lower == pytest.approx(a.lower, abs=1e-12)
+    a, b = evaluate_bounds(spec), evaluate_bounds(rotated)
+    # bounds depend only on coefficient magnitudes; |a e^{i theta}|
+    # differs from |a| by at most one ulp, hence the tight tolerance
+    for name in ("upper", "lower_raw", "lower"):
+        for t in ("t1", "t2"):
+            assert getattr(b, f"{t}_{name}") == pytest.approx(
+                getattr(a, f"{t}_{name}"), abs=1e-12
+            )
 
 
 def test_exchange_symmetry(ghz, w):
     spec = SuperpositionSpec(0.6, 0.8, ghz, w)
-    swapped = spec.swapped()
-    assert total_negativity_bounds(spec).upper == total_negativity_bounds(swapped).upper
-    assert total_negativity_bounds(spec).lower_raw == pytest.approx(
-        total_negativity_bounds(swapped).lower_raw, abs=1e-12
-    )
-    assert gme_negativity_bounds(spec).upper == pytest.approx(
-        gme_negativity_bounds(swapped).upper, abs=1e-12
-    )
+    a = evaluate_bounds(spec)
+    b = evaluate_bounds(SuperpositionSpec(spec.a2, spec.a1, spec.psi2, spec.psi1))
+    assert a.t1_upper == b.t1_upper
+    assert a.t1_lower_raw == pytest.approx(b.t1_lower_raw, abs=1e-12)
+    assert a.t2_upper == pytest.approx(b.t2_upper, abs=1e-12)
 
 
 # -------------------------------------------------------------- min/max lemma

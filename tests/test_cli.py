@@ -1,11 +1,14 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -433,6 +436,16 @@ def test_sweep_deterministic_bytes(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_sidecar_without_out(capsys, tmp_path):
+    code, csv_text, _ = run_cli(capsys, "sweep", "--grid", "0,1,3",
+                                "--sidecar", str(tmp_path / "fit.json"))
+    assert code == 0
+    run_cli(capsys, "sweep", "--grid", "0,1,3", "--out", str(tmp_path / "s.csv"))
+    assert csv_text == (tmp_path / "s.csv").read_text()  # the CSV stays on stdout
+    fit = (tmp_path / "fit.json").read_bytes()
+    assert fit == (tmp_path / "s.csv.fit.json").read_bytes()
+
+
 def test_sweep_rejects_bad_grids(capsys):
     assert run_cli(capsys, "sweep", "--grid", "0,1")[0] == 2
     assert run_cli(capsys, "sweep", "--grid", "0,2,5")[0] == 2
@@ -641,3 +654,40 @@ def test_module_entry_point_subprocess():
     proc = run_module("measure", "--named", "ghz")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_gme"] == pytest.approx(1.0, abs=1e-10)
+
+
+# ------------------------------------------------------------------ Python API
+
+PUBLIC_API = [
+    "Bipartition", "BoundsReport", "CrossTermTable", "MeasureReport", "PureState",
+    "SchmidtSpectrum", "SuperpositionSpec", "ZFamilyParams", "bipartitions",
+    "conjugate", "cross_sums", "density_matrix", "evaluate_bounds",
+    "evaluate_bounds_batch", "fit_gme_closed_form", "ghz", "gme_concurrence",
+    "gme_negativity", "haar_random", "hermitian_eigenvalues", "load_state",
+    "matricize", "measure_report", "min_combine_lower", "min_combine_upper",
+    "multipartite_negativity", "negativities_pt_oracle", "negativities_so",
+    "negativity_schmidt", "negativity_so", "new_state", "normalize",
+    "partial_transpose", "random_biseparable", "random_superposition_spec",
+    "reduced_density", "save_state", "superpose", "w_state", "z_family",
+    "z_family_sweep",
+]
+# single-item wrappers of a batch entry, and test references (tests/reference.py)
+REMOVED_NAMES = [
+    "cross_sum", "concurrence_sq", "multipartite_concurrence_sq", "is_biseparable",
+    "BiseparabilityReport", "BISEPARABLE_TOL", "cross_terms", "total_negativity_bounds",
+    "gme_negativity_bounds", "negativity_pt_oracle", "schmidt_spectrum",
+    "GeneratorPair", "generator_pairs", "_conj_matricizations", "bilinear_form",
+    "bilinear_matrix", "trace_norm", "haar_unitary", "apply_product_unitary",
+]
+
+
+def test_public_api_is_pinned():
+    public = sorted(name for name, value in vars(supneg).items()
+                    if name[0] != "_" and not isinstance(value, types.ModuleType))
+    assert public == PUBLIC_API
+    modules = [importlib.import_module(f"supneg.{info.name}")
+               for info in pkgutil.iter_modules(supneg.__path__)]
+    assert len(modules) == 7
+    for module in [supneg, *modules]:
+        assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+    assert not hasattr(supneg.SuperpositionSpec, "swapped")

@@ -9,20 +9,23 @@ from hypothesis import strategies as st
 
 import supneg.measures as measures
 import supneg.states as states
-from supneg import bounds, library, oracle, verify
-from supneg.measures import (
+from reference import (
     GeneratorPair,
+    apply_product_unitary,
     bilinear_form,
     bilinear_matrix,
-    concurrence_sq,
-    cross_sum,
     generator_pairs,
+    haar_unitary,
+)
+from supneg import bounds, library, oracle, verify
+from supneg.measures import (
+    cross_sums,
+    cut_measures,
     gme_concurrence,
     gme_negativity,
-    is_biseparable,
     measure_report,
-    multipartite_concurrence_sq,
     multipartite_negativity,
+    negativities_so,
     negativity_schmidt,
     negativity_so,
 )
@@ -33,6 +36,7 @@ from supneg.states import (
     matricize,
     new_state,
     normalize,
+    schmidt_spectra,
     superpose,
 )
 
@@ -164,23 +168,23 @@ def test_bilinear_matrix_is_twice_the_minor_matrix():
 
 def test_cross_sum_ghz(ghz):
     for cut in bipartitions(ghz):
-        assert cross_sum(ghz, ghz, cut) == pytest.approx(1.0, abs=1e-12)
+        assert cross_sums([(ghz, ghz, cut)])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_sum_product_state_zero():
     s = basis_state(0)
     for cut in bipartitions(s):
-        assert cross_sum(s, s, cut) == 0.0
+        assert cross_sums([(s, s, cut)])[0] == 0.0
 
 
 def test_cross_sum_w(w):
     cut = Bipartition.of(w.dims, 0)
-    assert cross_sum(w, w, cut) == pytest.approx(2 * np.sqrt(2) / 3, abs=1e-12)
+    assert cross_sums([(w, w, cut)])[0] == pytest.approx(2 * np.sqrt(2) / 3, abs=1e-12)
 
 
 def test_cross_sum_symmetric_exactly(ghz, w):
     for cut in bipartitions(ghz):
-        assert cross_sum(ghz, w, cut) == cross_sum(w, ghz, cut)
+        assert cross_sums([(ghz, w, cut)])[0] == cross_sums([(w, ghz, cut)])[0]
 
 
 def test_cross_sum_quadratic_scaling(ghz):
@@ -190,8 +194,8 @@ def test_cross_sum_quadratic_scaling(ghz):
 
     chi = PureState(ghz.dims, 1.7 * ghz.amplitudes)
     cut = Bipartition.of(ghz.dims, 0)
-    assert cross_sum(chi, chi, cut) == pytest.approx(
-        1.7**2 * cross_sum(ghz, ghz, cut), abs=1e-12
+    assert cross_sums([(chi, chi, cut)])[0] == pytest.approx(
+        1.7**2 * cross_sums([(ghz, ghz, cut)])[0], abs=1e-12
     )
 
 
@@ -353,7 +357,7 @@ def _kernel_pairs():
 def test_cross_sum_matches_dense_svd():
     for psi, phi in _kernel_pairs():
         for cut in bipartitions(psi):
-            assert cross_sum(psi, phi, cut) == pytest.approx(
+            assert cross_sums([(psi, phi, cut)])[0] == pytest.approx(
                 _dense_cross_sum(psi, phi, cut), abs=1e-12
             )
 
@@ -365,8 +369,8 @@ def test_cross_sum_symmetric_exactly_on_haar_pairs(dims):
         b = library.haar_random(dims, 2 * seed + 1)
         copy = PureState(a.dims, a.amplitudes.copy())
         for cut in bipartitions(a):
-            assert cross_sum(a, b, cut) == cross_sum(b, a, cut)
-            assert cross_sum(a, copy, cut) == cross_sum(a, a, cut)
+            assert cross_sums([(a, b, cut)])[0] == cross_sums([(b, a, cut)])[0]
+            assert cross_sums([(a, copy, cut)])[0] == cross_sums([(a, a, cut)])[0]
 
 
 def test_multipartite_negativity_values(ghz, w):
@@ -407,12 +411,12 @@ def test_composite_ordering_invariance():
 
 def test_concurrence_sq_golden(ghz, w):
     for cut in bipartitions(ghz):
-        pair = concurrence_sq(ghz, cut)
+        pair = cut_measures([(ghz, cut)])[0]
         assert pair.density == pytest.approx(1.0, abs=1e-12)
         assert pair.generator == pytest.approx(1.0, abs=1e-12)
-        assert concurrence_sq(w, cut).density == pytest.approx(8 / 9, abs=1e-12)
+        assert cut_measures([(w, cut)])[0].density == pytest.approx(8 / 9, abs=1e-12)
     s = basis_state(0)
-    assert concurrence_sq(s, Bipartition.of(s.dims, 0)).density == pytest.approx(
+    assert cut_measures([(s, Bipartition.of(s.dims, 0))])[0].density == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -421,7 +425,7 @@ def test_concurrence_sq_golden(ghz, w):
 def test_concurrence_identity_on_haar(seed):
     s = library.haar_random([3, 3, 3], seed)
     for cut in bipartitions(s):
-        pair = concurrence_sq(s, cut)
+        pair = cut_measures([(s, cut)])[0]
         assert abs(pair.difference) <= 1e-9
 
 
@@ -431,16 +435,16 @@ def test_concurrence_detects_convention_bug(monkeypatch, ghz):
     monkeypatch.setattr(measures, "t_matrix", lambda *a, **k: 0.5 * original(*a, **k))
     cut = Bipartition.of(ghz.dims, 0)
     with pytest.raises(ValueError, match="convention"):
-        concurrence_sq(ghz, cut)
+        measure_report(ghz)
     # and the negativity path drops to half the oracle value
     assert negativity_so(ghz, cut) == pytest.approx(
-        oracle.negativity_pt_oracle(ghz, cut) / 2, abs=1e-9
+        oracle.negativities_pt_oracle([(ghz, cut)])[0] / 2, abs=1e-9
     )
 
 
 def test_multipartite_concurrence_values(ghz, w):
-    assert multipartite_concurrence_sq(ghz) == pytest.approx(3.0, abs=1e-12)
-    assert multipartite_concurrence_sq(w) == pytest.approx(8 / 3, abs=1e-12)
+    assert measure_report(ghz).c2_multi == pytest.approx(3.0, abs=1e-12)
+    assert measure_report(w).c2_multi == pytest.approx(8 / 3, abs=1e-12)
 
 
 def test_gme_concurrence_values(ghz, w):
@@ -452,33 +456,36 @@ def test_gme_concurrence_values(ghz, w):
 # ------------------------------------------------------------ biseparability
 
 
+def separable_cuts(s):
+    """Per-cut product flags, A|BC first: a negativity at most 1e-9."""
+    negs = negativities_so((s, cut) for cut in bipartitions(s))
+    return tuple(n <= 1e-9 for n in negs)
+
+
 def test_biseparable_product_state():
-    report = is_biseparable(basis_state(0))
-    assert report.separable == (True, True, True)
-    assert report.biseparable
+    flags = separable_cuts(basis_state(0))
+    assert flags == (True, True, True)
+    assert any(flags)
 
 
 def test_biseparable_ghz(ghz):
-    report = is_biseparable(ghz)
-    assert report.separable == (False, False, False)
-    assert not report.biseparable
+    flags = separable_cuts(ghz)
+    assert flags == (False, False, False)
+    assert not any(flags)
 
 
 def test_biseparable_zero_bell():
-    report = is_biseparable(zero_bell())
-    assert report.separable == (True, False, False)
-    assert report.biseparable
+    flags = separable_cuts(zero_bell())
+    assert flags == (True, False, False)
+    assert any(flags)
 
 
 def test_biseparable_flags_match_schmidt_rank():
-    from supneg.states import schmidt_spectrum
-
     for seed in range(10):
         cut0 = bipartitions(library.ghz(2))[seed % 3]
         s = library.random_biseparable(cut0, [2, 2, 2], seed)
-        report = is_biseparable(s)
-        for cut, flag in zip(bipartitions(s), report.separable):
-            assert flag == (schmidt_spectrum(s, cut).rank == 1)
+        for cut, flag in zip(bipartitions(s), separable_cuts(s)):
+            assert flag == (schmidt_spectra([(s, cut)])[0].rank == 1)
 
 
 # ----------------------------------------------------- local unitary invariance
@@ -487,14 +494,14 @@ def test_biseparable_flags_match_schmidt_rank():
 @pytest.mark.parametrize("seed", range(4))
 def test_local_unitary_invariance(seed):
     s = library.haar_random([2, 2, 2], seed)
-    us = [library.haar_unitary(2, 100 * seed + k) for k in range(3)]
-    rotated = library.apply_product_unitary(s, us)
+    us = [haar_unitary(2, 100 * seed + k) for k in range(3)]
+    rotated = apply_product_unitary(s, us)
     assert multipartite_negativity(rotated) == pytest.approx(
         multipartite_negativity(s), abs=1e-8
     )
     assert gme_negativity(rotated) == pytest.approx(gme_negativity(s), abs=1e-8)
-    assert multipartite_concurrence_sq(rotated) == pytest.approx(
-        multipartite_concurrence_sq(s), abs=1e-8
+    assert measure_report(rotated).c2_multi == pytest.approx(
+        measure_report(s).c2_multi, abs=1e-8
     )
     assert gme_concurrence(rotated) == pytest.approx(gme_concurrence(s), abs=1e-8)
 

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import haar_unitary, trace_norm
 from supneg import library, oracle
 from supneg.oracle import (
     JacobiConvergenceError,
     density_matrix,
     hermitian_eigenvalues,
     negativities_pt_oracle,
-    negativity_pt_oracle,
     partial_transpose,
-    trace_norm,
 )
 from supneg.states import Bipartition, bipartitions, new_state, normalize
 
@@ -60,7 +59,6 @@ def test_density_matrix_dimension_cap():
     s = library.haar_random([7, 7, 7], 0)
     with pytest.raises(ValueError, match="capped"):
         density_matrix(s)
-    density_matrix(s, max_dim=343)  # raisable per call
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -133,7 +131,7 @@ def test_eigenvalues_unitary_conjugation(seed):
     rng = np.random.default_rng(seed)
     d = rng.integers(2, 9)
     diag = np.sort(rng.standard_normal(d))[::-1]
-    u = library.haar_unitary(d, seed)
+    u = haar_unitary(d, seed)
     h = u @ np.diag(diag) @ u.conj().T
     np.testing.assert_allclose(hermitian_eigenvalues(h), diag, atol=1e-10)
 
@@ -319,7 +317,7 @@ def hermitian_stacks(draw):
             if kind == "diag":
                 mats.append(diag)
             else:
-                u = library.haar_unitary(n, int(rng.integers(2**31)))
+                u = haar_unitary(n, int(rng.integers(2**31)))
                 mats.append(u @ diag @ u.conj().T)
     return np.stack(mats)
 
@@ -360,18 +358,18 @@ def test_sweep_cap_raises_on_a_dense_stack(monkeypatch):
 
 def test_pt_oracle_ghz(ghz):
     for cut in bipartitions(ghz):
-        assert negativity_pt_oracle(ghz, cut) == pytest.approx(1.0, abs=1e-10)
+        assert negativities_pt_oracle([(ghz, cut)])[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pt_oracle_product_state():
     s = new_state([2, 2, 2], [1, 0, 0, 0, 0, 0, 0, 0])
     for cut in bipartitions(s):
-        assert negativity_pt_oracle(s, cut) == pytest.approx(0.0, abs=1e-12)
+        assert negativities_pt_oracle([(s, cut)])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pt_oracle_w(w):
     for cut in bipartitions(w):
-        assert negativity_pt_oracle(w, cut) == pytest.approx(
+        assert negativities_pt_oracle([(w, cut)])[0] == pytest.approx(
             2 * np.sqrt(2) / 3, abs=1e-10
         )
 
@@ -385,7 +383,7 @@ def test_pt_spectrum_identities(seed):
         ev = hermitian_eigenvalues(partial_transpose(rho, s.dims, cut.kept))
         assert ev.sum() == pytest.approx(1.0, abs=1e-10)
         neg_part = float(-ev[ev < 0].sum())
-        n = negativity_pt_oracle(s, cut)
+        n = negativities_pt_oracle([(s, cut)])[0]
         assert neg_part == pytest.approx(n / 2, abs=1e-9)
 
 
@@ -399,5 +397,5 @@ def test_batched_oracle_matches_single_pairs_in_order():
     batched = negativities_pt_oracle(pairs)
     assert batched.shape == (len(pairs),)
     for (s, cut), n in zip(pairs, batched):
-        assert negativity_pt_oracle(s, cut) == n
+        assert negativities_pt_oracle([(s, cut)])[0] == n
     assert negativities_pt_oracle([]).shape == (0,)
