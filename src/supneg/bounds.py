@@ -5,19 +5,22 @@ component matrices, so by the norm triangle inequality the per-cut cross
 sums S_gamma(psi_i, psi_j) sandwich both ||chi||^2 N(chi') (total negativity,
 cut sums weighted by the global factor 2) and ||chi||^2 N_GME(chi') (min over
 cuts, combined through the min/max lemma).  Lower bounds may be negative as
-stated; clamped-at-zero variants are reported alongside.
+stated; clamped-at-zero variants are reported alongside.  The self sums
+S_gamma(psi, psi), exact values included, are 2 sum_{i<j} s_i s_j over the
+singular values s of the matricization; only S_gamma(psi1, psi2) takes the
+cross-sum kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import library
 from .measures import cross_sums
-from .states import PureState, bipartitions, superpose
+from .states import Bipartition, PureState, bipartitions, singular_values, superpose
 
 # Previously reported closed-form constants for the GHZ/W-superposition
 # family, kept only for the comparison emitted by sweeps; this package's
@@ -108,17 +111,14 @@ class BoundsReport:
         return out
 
 
-def _triples(pairs: Sequence[tuple[PureState, PureState]]) -> list:
-    """(psi, phi, cut) for every state pair and cut, pair-major."""
-    return [(psi, phi, cut) for psi, phi in pairs for cut in bipartitions(psi)]
-
-
-def _component_pairs(spec: SuperpositionSpec) -> list[tuple[PureState, PureState]]:
-    return [(spec.psi1, spec.psi1), (spec.psi2, spec.psi2), (spec.psi1, spec.psi2)]
+def _self_sums(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[float]:
+    """S_gamma(psi, psi) of every (state, cut) pair as 2 sum_j s_j (s_0 + ... +
+    s_{j-1}): no term is negative, unlike in (sum s)^2 - sum s^2."""
+    return [float(2.0 * (s[1:] * np.cumsum(s)[:-1]).sum()) for s in singular_values(pairs)]
 
 
 def _table(spec: SuperpositionSpec, sums: Sequence[float]) -> CrossTermTable:
-    """The table of one spec from its nine cross sums, in ``_triples`` order."""
+    """The table of one spec from its nine cross sums: s11, s22, s12 in cut order."""
     s11, s22, s12 = (tuple(sums[k : k + 3]) for k in (0, 3, 6))
     w11 = abs(spec.a1) ** 2
     w22 = abs(spec.a2) ** 2
@@ -194,20 +194,17 @@ def min_combine_lower(b: Sequence[float], c: Sequence[float], d: Sequence[float]
 
 
 def evaluate_bounds_batch(specs: Sequence[SuperpositionSpec]) -> list[BoundsReport]:
-    """``evaluate_bounds`` of every spec, in order, from one kernel call.
-
-    Each spec contributes its nine component cross sums and the three of its
-    superposition; a report gets the same bits as from a batch of one.
-    """
+    """``evaluate_bounds`` of every spec, in order, bit for bit: the self sums
+    of psi1, psi2 and chi from one stacked SVD per matricization shape, the
+    psi1-psi2 cross sums from one kernel call."""
     chis = [spec.superposed() for spec in specs]
-    pairs = []
-    for spec, chi in zip(specs, chis):
-        pairs += _component_pairs(spec) + [(chi, chi)]
-    sums = cross_sums(_triples(pairs))
+    selfs = _self_sums((state, cut) for spec, chi in zip(specs, chis)
+                       for state in (spec.psi1, spec.psi2, chi) for cut in bipartitions(chi))
+    s12 = cross_sums((sp.psi1, sp.psi2, cut) for sp in specs for cut in bipartitions(sp.psi1))
     reports = []
     for k, (spec, chi) in enumerate(zip(specs, chis)):
-        table = _table(spec, sums[12 * k : 12 * k + 9])
-        per_cut = sums[12 * k + 9 : 12 * k + 12]
+        table = _table(spec, selfs[9 * k : 9 * k + 6] + s12[3 * k : 3 * k + 3])
+        per_cut = selfs[9 * k + 6 : 9 * k + 9]
         t1 = _total_bounds(table)
         t2 = _gme_bounds(table)
         reports.append(

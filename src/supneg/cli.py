@@ -226,12 +226,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p_grid = _parse_grid(args.grid)
     if p_grid.min() < 0.0 or p_grid.max() > 1.0:
         raise CliError("sweep grid must stay inside [0, 1]")
+    sidecar_path = args.sidecar or (None if args.out is None else f"{args.out}.fit.json")
+    if sidecar_path and p_grid.size < 3:  # before anything is written
+        raise CliError("the sidecar's closed-form fit needs a grid of at least 3 steps")
     phi = float(args.phi)
     reports = bounds_mod.z_family_sweep(p_grid, phi)
-    csv_text = bounds_mod.sweep_csv(p_grid, phi, reports)
-    _emit(csv_text, args.out)
-    if args.out is not None or args.sidecar:
-        sidecar_path = args.sidecar or f"{args.out}.fit.json"
+    _emit(bounds_mod.sweep_csv(p_grid, phi, reports), args.out)
+    if sidecar_path:
         Path(sidecar_path).write_text(
             _json_text(sweep_sidecar(p_grid, phi, reports)), encoding="utf-8"
         )

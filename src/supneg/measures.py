@@ -23,8 +23,10 @@ T(L_P, L_Q), C(r,2) x C(min(2r, c),2) or C(r,2) x C(min(r, c),2) for
 psi = phi, has the singular values of T.
 
 The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples;
-a report, a bounds evaluation or a verify check makes one call (the Haar
-check serves three check names with one).  Triples of one stacked shape share
+a report or a verify check makes one call (the Haar check serves three check
+names with one).  Bounds send it only their psi1-psi2 triples: a self sum
+T(P, P) = 2 C2(P) has singular values 2 s_i s_j, i < j, so ``bounds`` reads
+it off the singular values s of P.  Triples of one stacked shape share
 one QR of their stacked transposes; T(L_P, L_Q) is then built
 T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per chunk,
 so the temporaries of a stack stay in cache (three d = 12 cross-pair T built
@@ -34,7 +36,8 @@ same bits alone as in any batch.  The dense T and the single bilinear form,
 the references this kernel is checked against, live in ``tests/reference.py``.
 
 Determinism: generator pairs are enumerated lexicographically and every
-reduction has a fixed order, so identical inputs give bit-identical results.
+reduction has a fixed order, so identical inputs give bit-identical results
+at a fixed BLAS thread count.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ samples.  The Haar check is one entry for three names (dual path,
 concurrence identity, GME positivity): it draws the Haar states once and
 makes one ``measures.cut_measures`` call over their cuts (one cross-sum
 kernel call, stacked Schmidt SVDs) and one Jacobi-oracle call.  The sandwich
-and biseparability checks make one kernel call each (the former through
-``bounds.evaluate_bounds_batch``).
+check makes one ``bounds.evaluate_bounds_batch`` call (stacked SVDs, one
+kernel call), the biseparability check one kernel call.
 A check passes when its largest violation over the samples is within
 tolerance (the run's, or its entry in ``FIXED_TOLS``); a failing check keeps
 the inputs of its worst sample.

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,24 @@ from supneg import library, measures
 from supneg.bounds import (
     SWEEP_COLUMNS,
     SuperpositionSpec,
+    _self_sums,
     evaluate_bounds,
+    evaluate_bounds_batch,
     fit_gme_closed_form,
     min_combine_lower,
     min_combine_upper,
     sweep_csv,
     z_family_sweep,
 )
-from supneg.states import bipartitions, matricize, new_state, normalize
+from supneg.states import (
+    Bipartition,
+    bipartitions,
+    matricize,
+    new_state,
+    normalize,
+    singular_values,
+)
+from supneg.verify import _degenerate_spec
 
 S2 = 1 / np.sqrt(2)
 
@@ -98,6 +109,86 @@ def test_cross_terms_identities_on_random_specs(seed):
     for i, j in (("11", "11"), ("22", "22"), ("12", "12")):
         assert getattr(t, f"g{i}") <= getattr(t, f"f{j}") + 1e-15
     assert min(t.s11) >= 0 and min(t.s22) >= 0 and min(t.s12) >= 0
+
+
+# -------------------------------------------------------------- self sums
+
+U = 2.0**-53  # unit roundoff of a double
+
+
+def near_product(dims, eps, seed):
+    """A random product state plus eps times a Haar state, renormalized."""
+    rng = np.random.default_rng(seed)
+    factors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+    product = np.kron(np.kron(factors[0], factors[1]), factors[2])
+    amps = product / np.linalg.norm(product)
+    amps = amps + eps * library.haar_random(dims, seed).amplitudes
+    return new_state(dims, amps / np.linalg.norm(amps))
+
+
+def mp_pair_sum(s):
+    """2 sum_{i<j} s_i s_j at 40 digits."""
+    with mpmath.workdps(40):
+        s = [mpmath.mpf(x) for x in s]
+        return 2 * mpmath.fsum(s[i] * s[j] for j in range(len(s)) for i in range(j))
+
+
+def mp_singular_values(state, cut):
+    with mpmath.workdps(40):
+        m = mpmath.matrix(matricize(state, cut).tolist())
+        return list(mpmath.svd_c(m, compute_uv=False))
+
+
+def self_and_kernel(states):
+    pairs = [(state, cut) for state in states for cut in bipartitions(state)]
+    kernel = measures.cross_sums((state, state, cut) for state, cut in pairs)
+    return pairs, _self_sums(pairs), kernel
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_self_sums_within_roundoff_near_product(eps):
+    # A near-product cut has one large singular value and small ones.  Over
+    # 6,000 such cuts, on the singular values it is given, the nonnegative
+    # cumulative sum stays within 0.04 u of the exact pair sum, while the
+    # cancelling form (sum s)^2 - sum s^2 is off by up to 5.4 u (3.8 u on
+    # these cuts).  End to end, LAPACK's singular values add error of their
+    # own to both paths: up to 2.9 u (this path) and 2.7 u (the kernel) over
+    # the same cuts, hence the looser end-to-end bound.
+    states = [near_product([3, 3, 3], eps, 100 + k) for k in range(5)]
+    pairs, fast, kernel = self_and_kernel(states)
+    for (state, cut), s, got, via_t in zip(pairs, singular_values(pairs), fast, kernel):
+        scale = U * state.norm_sq
+        assert float(abs(mpmath.mpf(got) - mp_pair_sum(list(s)))) <= 2 * scale
+        exact = mp_pair_sum(mp_singular_values(state, cut))
+        assert float(abs(mpmath.mpf(got) - exact)) <= 4 * scale
+        assert float(abs(mpmath.mpf(via_t) - exact)) <= 4 * scale
+
+
+DIMS = ([2, 2, 2], [3, 3, 3], [2, 3, 4])
+SELF_SUM_INPUTS = {  # kind -> states, built on use
+    "haar": lambda: [library.haar_random([d, d, d], 300 + d) for d in (2, 3, 4)]
+    + [library.haar_random([2, 3, 4], 310 + k) for k in range(3)],
+    "biseparable": lambda: [library.random_biseparable(Bipartition.of(dims, k), dims, 320 + k)
+                            for dims in DIMS for k in range(3)],
+    "near_product": lambda: [near_product(dims, 1e-4, 330 + k) for k, dims in enumerate(DIMS)],
+    "degenerate_chi": lambda: [_degenerate_spec(seed).superposed() for seed in (1, 2)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SELF_SUM_INPUTS))
+def test_self_sums_agree_with_kernel(kind):
+    _, fast, kernel = self_and_kernel(SELF_SUM_INPUTS[kind]())
+    np.testing.assert_allclose(fast, kernel, rtol=0, atol=1e-12)
+
+
+def test_batch_reports_equal_single_reports_bit_for_bit():
+    specs = [library.random_superposition_spec(dims, 400 + k)
+             for k, dims in enumerate(DIMS + DIMS)]
+    specs.insert(2, _degenerate_spec(7))
+    for spec, batched in zip(specs, evaluate_bounds_batch(specs)):
+        alone = evaluate_bounds(spec)
+        assert batched.to_dict() == alone.to_dict()
+        assert batched.terms == alone.terms
 
 
 # ------------------------------------------------------------ total bounds

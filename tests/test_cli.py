@@ -416,10 +416,10 @@ def test_sweep_row_count_and_gap(capsys, tmp_path):
     assert "reported_constants_comparison" in sidecar
 
 
-def test_sweep_endpoints_match_measure(capsys, tmp_path):
-    out_path = tmp_path / "sweep.csv"
-    run_cli(capsys, "sweep", "--grid", "0,1,2", "--out", str(out_path))
-    lines = out_path.read_text().strip().split("\n")
+def test_sweep_endpoints_match_measure(capsys):
+    code, csv_text, _ = run_cli(capsys, "sweep", "--grid", "0,1,2")
+    assert code == 0
+    lines = csv_text.strip().split("\n")
     header = lines[0].split(",")
     w_row = dict(zip(header, map(float, lines[1].split(","))))
     ghz_row = dict(zip(header, map(float, lines[2].split(","))))
@@ -444,6 +444,16 @@ def test_sweep_sidecar_without_out(capsys, tmp_path):
     assert csv_text == (tmp_path / "s.csv").read_text()  # the CSV stays on stdout
     fit = (tmp_path / "fit.json").read_bytes()
     assert fit == (tmp_path / "s.csv.fit.json").read_bytes()
+
+
+def test_sweep_rejects_short_grid_before_writing(capsys, tmp_path, monkeypatch):
+    # the sidecar's three-coefficient fit needs three points: refuse up front
+    monkeypatch.chdir(tmp_path)
+    for target in (["--out", "s.csv"], ["--sidecar", "f.json"]):
+        code, out, err = run_cli(capsys, "sweep", "--grid", "0,1,2", *target)
+        assert (code, out) == (2, "")
+        assert "at least 3" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_bad_grids(capsys):
