@@ -13,12 +13,9 @@ from .bounds import (
     evaluate_bounds,
     evaluate_bounds_batch,
     fit_gme_closed_form,
-    min_combine_lower,
-    min_combine_upper,
     z_family_sweep,
 )
 from .library import (
-    ZFamilyParams,
     ghz,
     haar_random,
     random_biseparable,
@@ -29,13 +26,8 @@ from .library import (
 from .measures import (
     MeasureReport,
     cross_sums,
-    gme_concurrence,
-    gme_negativity,
     measure_report,
-    multipartite_negativity,
-    negativity_schmidt,
     negativities_so,
-    negativity_so,
 )
 from .oracle import (
     density_matrix,
@@ -46,15 +38,12 @@ from .oracle import (
 from .states import (
     Bipartition,
     PureState,
-    SchmidtSpectrum,
     bipartitions,
-    conjugate,
     load_state,
     matricize,
     new_state,
     normalize,
     reduced_density,
-    save_state,
     superpose,
 )
 

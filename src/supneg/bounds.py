@@ -80,12 +80,6 @@ class CrossTermTable:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
-class BoundTriple(NamedTuple):
-    upper: float
-    lower_raw: float  # max of the signed combinations, may be negative
-    lower: float  # lower_raw clamped at zero (negativities are nonnegative)
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Exact scaled negativities of a superposition next to all four bounds."""
@@ -139,17 +133,17 @@ def _table(spec: SuperpositionSpec, sums: Sequence[float]) -> CrossTermTable:
     )
 
 
-def _total_bounds(t: CrossTermTable) -> BoundTriple:
+def _total_bounds(t: CrossTermTable) -> tuple[float, float]:
     upper = t.f11_multi + t.f22_multi + 2.0 * t.f12_multi
     lower_raw = max(
         t.f11_multi - t.f22_multi - 2.0 * t.f12_multi,
         -t.f11_multi + t.f22_multi - 2.0 * t.f12_multi,
         -t.f11_multi - t.f22_multi + 2.0 * t.f12_multi,
     )
-    return BoundTriple(upper, lower_raw, max(lower_raw, 0.0))
+    return upper, lower_raw
 
 
-def _gme_bounds(t: CrossTermTable) -> BoundTriple:
+def _gme_bounds(t: CrossTermTable) -> tuple[float, float]:
     upper = min(
         t.g11 + t.f22 + 2.0 * t.f12,
         t.f11 + t.g22 + 2.0 * t.f12,
@@ -160,7 +154,7 @@ def _gme_bounds(t: CrossTermTable) -> BoundTriple:
         -t.f11 + t.g22 - 2.0 * t.f12,
         -t.f11 - t.f22 + 2.0 * t.g12,
     )
-    return BoundTriple(upper, lower_raw, max(lower_raw, 0.0))
+    return upper, lower_raw
 
 
 def min_combine_slack(
@@ -183,16 +177,6 @@ def min_combine_slack(
     return upper, lower
 
 
-def min_combine_upper(b: Sequence[float], c: Sequence[float], d: Sequence[float]) -> bool:
-    """min_k(b_k + c_k + d_k) <= min(b) + max(c) + max(d), for positive triples."""
-    return min_combine_slack(b, c, d)[0] >= 0.0
-
-
-def min_combine_lower(b: Sequence[float], c: Sequence[float], d: Sequence[float]) -> bool:
-    """min_k(b_k - c_k - d_k) >= min(b) - max(c) - max(d), for positive triples."""
-    return min_combine_slack(b, c, d)[1] >= 0.0
-
-
 def evaluate_bounds_batch(specs: Sequence[SuperpositionSpec]) -> list[BoundsReport]:
     """``evaluate_bounds`` of every spec, in order, bit for bit: the self sums
     of psi1, psi2 and chi from one stacked SVD per matricization shape, the
@@ -205,19 +189,19 @@ def evaluate_bounds_batch(specs: Sequence[SuperpositionSpec]) -> list[BoundsRepo
     for k, (spec, chi) in enumerate(zip(specs, chis)):
         table = _table(spec, selfs[9 * k : 9 * k + 6] + s12[3 * k : 3 * k + 3])
         per_cut = selfs[9 * k + 6 : 9 * k + 9]
-        t1 = _total_bounds(table)
-        t2 = _gme_bounds(table)
+        t1_upper, t1_lower_raw = _total_bounds(table)
+        t2_upper, t2_lower_raw = _gme_bounds(table)
         reports.append(
             BoundsReport(
                 norm_sq=chi.norm_sq,
                 n_exact=2.0 * sum(per_cut),
                 ngme_exact=min(per_cut),
-                t1_upper=t1.upper,
-                t1_lower_raw=t1.lower_raw,
-                t1_lower=t1.lower,
-                t2_upper=t2.upper,
-                t2_lower_raw=t2.lower_raw,
-                t2_lower=t2.lower,
+                t1_upper=t1_upper,
+                t1_lower_raw=t1_lower_raw,
+                t1_lower=max(t1_lower_raw, 0.0),
+                t2_upper=t2_upper,
+                t2_lower_raw=t2_lower_raw,
+                t2_lower=max(t2_lower_raw, 0.0),
                 terms=table,
             )
         )
@@ -236,12 +220,7 @@ def evaluate_bounds(spec: SuperpositionSpec) -> BoundsReport:
 
 def z_family_sweep(p_grid: Sequence[float], phi: float = 0.0) -> list[BoundsReport]:
     """Evaluate the GHZ/W superposition family on a grid of mixing weights."""
-    for p in p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return evaluate_bounds_batch(
-        [library.z_family(library.ZFamilyParams(p=float(p), phi=phi)) for p in p_grid]
-    )
+    return evaluate_bounds_batch([library.z_family(float(p), phi) for p in p_grid])
 
 
 SWEEP_COLUMNS = (

@@ -75,10 +75,8 @@ def parse_named_state(spec_text: str) -> PureState:
         elif name == "w":
             state = library.w_state()
         elif name == "z":
-            zp = library.ZFamilyParams(
-                p=float(params.pop("p")), phi=float(params.pop("phi", "0"))
-            )
-            state, _ = normalize(library.z_family(zp).superposed())
+            spec = library.z_family(float(params.pop("p")), float(params.pop("phi", "0")))
+            state, _ = normalize(spec.superposed())
         else:
             raise CliError(f"unknown named state {name!r} (try ghz, w, z:p=...)")
     except KeyError as exc:
@@ -147,6 +145,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.p is not None and (args.a1 is not None or args.a2 is not None):
+        raise CliError("--p sets both coefficients; do not combine it with --a1 or --a2")
     psi1 = resolve_state_source(args.s1)
     psi2 = resolve_state_source(args.s2)
     if args.p is not None:

@@ -10,7 +10,6 @@ their streams by deriving per-sample seeds as ``seed XOR index``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -46,29 +45,20 @@ def w_state() -> PureState:
     return new_state([2, 2, 2], amps)
 
 
-@dataclass(frozen=True)
-class ZFamilyParams:
-    """Mixing weight p in [0, 1] and relative phase phi (radians)."""
-
-    p: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-
-
-def z_family(params: ZFamilyParams) -> "SuperpositionSpec":
-    """Two-component spec sqrt(p)*GHZ + e^{i phi} sqrt(1-p)*W on qubits.
+def z_family(p: float, phi: float = 0.0) -> "SuperpositionSpec":
+    """Two-component spec sqrt(p)*GHZ + e^{i phi} sqrt(1-p)*W on qubits, for a
+    mixing weight p in [0, 1] and a relative phase phi (radians).
 
     The phase sits on the W component only; GHZ and W are orthogonal so the
     superposed vector has unit norm for every p.
     """
     from .bounds import SuperpositionSpec  # import here: bounds imports this module
 
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     return SuperpositionSpec(
-        a1=complex(np.sqrt(params.p)),
-        a2=np.exp(1j * params.phi) * np.sqrt(1.0 - params.p),
+        a1=complex(np.sqrt(p)),
+        a2=np.exp(1j * phi) * np.sqrt(1.0 - p),
         psi1=ghz(2),
         psi2=w_state(),
     )

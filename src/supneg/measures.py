@@ -43,7 +43,7 @@ at a fixed BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -188,36 +188,8 @@ def negativities_so(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[floa
     via the generator representation: one kernel call for the batch."""
     pairs = list(pairs)
     for state, _ in pairs:
-        require_normalized(state, "negativity_so")
+        require_normalized(state, "negativities_so")
     return cross_sums((state, state, cut) for state, cut in pairs)
-
-
-def negativity_so(state: PureState, cut: Bipartition) -> float:
-    """``negativities_so`` of the one pair (state, cut)."""
-    return negativities_so([(state, cut)])[0]
-
-
-def _cut_negativities(state: PureState) -> list[float]:
-    return negativities_so((state, cut) for cut in bipartitions(state))
-
-
-def _schmidt_negativity(lam: np.ndarray) -> float:
-    return float(np.sqrt(lam).sum() ** 2 - 1.0)
-
-
-def negativity_schmidt(state: PureState, cut: Bipartition) -> float:
-    """Per-cut negativity from the Schmidt spectrum: (sum sqrt(lambda))^2 - 1."""
-    return _schmidt_negativity(schmidt_spectra([(state, cut)])[0].lambdas)
-
-
-def multipartite_negativity(state: PureState) -> float:
-    """Total negativity 2 * (N_A + N_B + N_C)."""
-    return 2.0 * sum(_cut_negativities(state))
-
-
-def gme_negativity(state: PureState) -> float:
-    """min over cuts of the per-cut negativity; zero iff biseparable."""
-    return min(_cut_negativities(state))
 
 
 def cut_measures(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[CutMeasures]:
@@ -231,40 +203,17 @@ def cut_measures(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[CutMeas
     """
     pairs = list(pairs)
     # first: an unnormalized state raises the normalization error, before any SVD
-    lams = [spectrum.lambdas for spectrum in schmidt_spectra(pairs)]
+    lams = schmidt_spectra(pairs)
     sigmas = cross_sum_spectra((state, state, cut) for state, cut in pairs)
     return [
         CutMeasures(
             negativity=float(sigma.sum()),
-            schmidt=_schmidt_negativity(lam),
+            schmidt=float(np.sqrt(lam).sum() ** 2 - 1.0),
             density=4.0 * float(np.triu(np.outer(lam, lam), 1).sum()),
             generator=float((sigma * sigma).sum()),
         )
         for lam, sigma in zip(lams, sigmas)
     ]
-
-
-def _check_convention(pair: CutMeasures, cut: Bipartition) -> CutMeasures:
-    if abs(pair.difference) > CONVENTION_TOL:
-        raise ValueError(
-            f"concurrence paths disagree by {pair.difference!r} on cut {cut.label}; "
-            "generator convention is broken"
-        )
-    return pair
-
-
-def _checked_cuts(state: PureState) -> list[CutMeasures]:
-    """``cut_measures`` of every cut, A|BC first, from one kernel call; raises
-    if the two concurrence paths disagree beyond CONVENTION_TOL, which would
-    signal a generator normalization bug."""
-    cuts = bipartitions(state)
-    measured = cut_measures((state, cut) for cut in cuts)
-    return [_check_convention(pair, cut) for pair, cut in zip(measured, cuts)]
-
-
-def gme_concurrence(state: PureState) -> float:
-    """min over cuts of sqrt(2 (1 - Tr rho_gamma^2))."""
-    return float(np.sqrt(min(c.density for c in _checked_cuts(state))))
 
 
 @dataclass(frozen=True)
@@ -281,14 +230,11 @@ class MeasureReport:
     c2_c: float
     c2_multi: float
     c_gme: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
-    def to_dict(self, include_diagnostics: bool = True) -> dict:
-        out = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagnostics"
-        }
-        if include_diagnostics and self.diagnostics:
-            out["diagnostics"] = dict(self.diagnostics)
+    def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["diagnostics"] = dict(self.diagnostics)
         return out
 
 
@@ -301,8 +247,17 @@ def measure_report(state: PureState) -> MeasureReport:
     construction.  Diagnostics carry the Schmidt-path negativities, the
     concurrence path differences, and the GME concurrence without the
     factor 2 under the root (an alternate convention some references use).
+    Raises if the two concurrence paths disagree beyond CONVENTION_TOL, which
+    would signal a generator normalization bug.
     """
-    per_cut = _checked_cuts(state)
+    cuts = bipartitions(state)
+    per_cut = cut_measures((state, cut) for cut in cuts)
+    for pair, cut in zip(per_cut, cuts):
+        if abs(pair.difference) > CONVENTION_TOL:
+            raise ValueError(
+                f"concurrence paths disagree by {pair.difference!r} on cut {cut.label}; "
+                "generator convention is broken"
+            )
     negs = [c.negativity for c in per_cut]
     c2 = [c.density for c in per_cut]
     return MeasureReport(

@@ -41,12 +41,13 @@ def validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """An n-partite pure state as dimensions plus a flat amplitude vector.
 
     Unnormalized states are first class (superpositions keep their raw
-    vector); ``norm_sq`` reports the actual squared norm.
+    vector); ``norm_sq`` reports the actual squared norm.  Equality and hash
+    are by identity: amplitude arrays have no single truth value.
     """
 
     dims: tuple[int, ...]
@@ -132,22 +133,6 @@ def _cuts_of(dims: tuple[int, ...]) -> tuple[Bipartition, Bipartition, Bipartiti
     return tuple(Bipartition.of(dims, k) for k in range(3))
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Squared Schmidt coefficients (eigenvalues of rho), descending, in [0, 1]."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.ascontiguousarray(self.lambdas, dtype=float)
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.lambdas > 1e-12))
-
-
 def _require_finite(amplitudes: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(amplitudes))
     if bad.size:
@@ -217,11 +202,6 @@ def superpose(
     return PureState(psi1.dims, a1 * psi1.amplitudes + a2 * psi2.amplitudes)
 
 
-def conjugate(state: PureState) -> PureState:
-    """Entry-wise complex conjugate in the computational basis."""
-    return PureState(state.dims, state.amplitudes.conj())
-
-
 def matricize(state: PureState, cut: Bipartition) -> np.ndarray:
     """Amplitudes as a row_dim x col_dim matrix for the given cut.
 
@@ -265,8 +245,9 @@ def singular_values(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[np.n
 
 def schmidt_spectra(
     pairs: Iterable[tuple[PureState, Bipartition]],
-) -> list[SchmidtSpectrum]:
-    """Squared ``singular_values`` of every (normalized state, cut) pair, in
+) -> list[np.ndarray]:
+    """Squared Schmidt coefficients (eigenvalues of rho, descending, in [0, 1]):
+    the squared ``singular_values`` of every (normalized state, cut) pair, in
     pair order.  Vanishing Schmidt coefficients come out at rounding level
     (~1e-16), not as square roots of rounding-level eigenvalues of M M^dagger.
     """
@@ -274,7 +255,7 @@ def schmidt_spectra(
     for state, _ in pairs:
         require_normalized(state, "schmidt_spectra")
     # s >= 0: only the upper end of [0, 1] can need clipping, and np.clip costs 5x more
-    return [SchmidtSpectrum(np.minimum(s * s, 1.0)) for s in singular_values(pairs)]
+    return [np.minimum(s * s, 1.0) for s in singular_values(pairs)]
 
 
 def state_from_dict(payload: dict) -> PureState:
@@ -301,9 +282,3 @@ def load_state(path: str | Path) -> PureState:
     with open(path, encoding="utf-8") as fh:
         return state_from_dict(json.load(fh))
 
-
-def save_state(state: PureState, path: str | Path) -> None:
-    # json float encoding is repr-based, i.e. lossless round-trip precision
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state.to_dict(), fh)
-        fh.write("\n")

@@ -66,10 +66,10 @@ def test_criterion_01_dual_path_negativity():
     n_pt = oracle.negativities_pt_oracle(pairs)
     worst_pt = worst_schmidt = 0.0
     for (state, cut), pt in zip(pairs, n_pt):
-        n_so = measures.negativity_so(state, cut)
+        n_so = measures.negativities_so([(state, cut)])[0]
         worst_pt = max(worst_pt, abs(n_so - pt))
         worst_schmidt = max(
-            worst_schmidt, abs(n_so - measures.negativity_schmidt(state, cut))
+            worst_schmidt, abs(n_so - measures.cut_measures([(state, cut)])[0].schmidt)
         )
     elapsed = time.perf_counter() - start
     passed = worst_pt <= 1e-9 and worst_schmidt <= 1e-9 and elapsed <= 60.0
@@ -136,10 +136,8 @@ def test_criterion_05_min_combine_lemma():
     triples = rng.uniform(1e-6, 10.0, size=(100_000, 3, 3))
     violations = 0
     for b, c, d in triples:
-        if not bounds.min_combine_upper(tuple(b), tuple(c), tuple(d)):
-            violations += 1
-        if not bounds.min_combine_lower(tuple(b), tuple(c), tuple(d)):
-            violations += 1
+        slack = bounds.min_combine_slack(tuple(b), tuple(c), tuple(d))
+        violations += sum(not s >= 0.0 for s in slack)
     passed = violations == 0
     _report(
         "criterion 5 (min/max combination lemma, 1e5 triples)",
@@ -155,11 +153,11 @@ def test_criterion_06_biseparability_iff_zero():
         dims = [2, 2, 2] if i % 2 == 0 else [3, 3, 3]
         cut = Bipartition.of(dims, i % 3)
         state = library.random_biseparable(cut, dims, seed=i)
-        worst_bisep = max(worst_bisep, measures.gme_negativity(state))
+        worst_bisep = max(worst_bisep, measures.measure_report(state).n_gme)
     min_haar = np.inf
     for i in range(100):
         state = library.haar_random([2, 2, 2] if i % 2 == 0 else [3, 3, 3], 10_000 + i)
-        min_haar = min(min_haar, measures.gme_negativity(state))
+        min_haar = min(min_haar, measures.measure_report(state).n_gme)
     passed = worst_bisep <= 1e-10 and min_haar > 1e-6
     _report(
         "criterion 6 (biseparable iff zero GME negativity)",
@@ -175,16 +173,16 @@ def test_criterion_07_golden_endpoint_values():
     g = library.ghz(2)
     w = library.w_state()
     checks = {
-        "N_multi(GHZ)=6": (measures.multipartite_negativity(g), 6.0, 1e-10),
-        "N_GME(GHZ)=1": (measures.gme_negativity(g), 1.0, 1e-10),
-        "C_GME(GHZ)=1": (measures.gme_concurrence(g), 1.0, 1e-10),
-        "N_multi(W)=4sqrt2": (measures.multipartite_negativity(w), 4 * np.sqrt(2), 1e-10),
-        "N_GME(W)=2sqrt2/3": (measures.gme_negativity(w), GME_W, 1e-10),
+        "N_multi(GHZ)=6": (measures.measure_report(g).n_multi, 6.0, 1e-10),
+        "N_GME(GHZ)=1": (measures.measure_report(g).n_gme, 1.0, 1e-10),
+        "C_GME(GHZ)=1": (measures.measure_report(g).c_gme, 1.0, 1e-10),
+        "N_multi(W)=4sqrt2": (measures.measure_report(w).n_multi, 4 * np.sqrt(2), 1e-10),
+        "N_GME(W)=2sqrt2/3": (measures.measure_report(w).n_gme, GME_W, 1e-10),
     }
     chi = superpose(S2, new_state([2, 2, 2], np.eye(8)[0]), S2, new_state([2, 2, 2], np.eye(8)[7]))
-    checks["N_GME(|000>+|111>)=1"] = (measures.gme_negativity(chi), 1.0, 1e-10)
+    checks["N_GME(|000>+|111>)=1"] = (measures.measure_report(chi).n_gme, 1.0, 1e-10)
     components_zero = max(
-        measures.gme_negativity(new_state([2, 2, 2], np.eye(8)[k])) for k in (0, 7)
+        measures.measure_report(new_state([2, 2, 2], np.eye(8)[k])).n_gme for k in (0, 7)
     )
     failures = {
         name: (got, want)

@@ -12,8 +12,7 @@ from supneg.bounds import (
     evaluate_bounds,
     evaluate_bounds_batch,
     fit_gme_closed_form,
-    min_combine_lower,
-    min_combine_upper,
+    min_combine_slack,
     sweep_csv,
     z_family_sweep,
 )
@@ -69,6 +68,13 @@ def test_spec_validates_dims(ghz):
         SuperpositionSpec(S2, S2, ghz, library.ghz(3))
 
 
+def test_specs_of_the_same_components_compare_equal(ghz, w):
+    a, b = SuperpositionSpec(S2, S2, ghz, w), SuperpositionSpec(S2, S2, ghz, w)
+    assert a == b and hash(a) == hash(b)
+    assert a != SuperpositionSpec(S2, S2, ghz, library.w_state())
+    assert len({a, b}) == 1
+
+
 # ------------------------------------------------------------- cross terms
 
 
@@ -101,10 +107,10 @@ def test_cross_terms_identities_on_random_specs(seed):
     t = evaluate_bounds(spec).terms
     # the aggregated self terms are the weighted total negativities
     assert t.f11_multi == pytest.approx(
-        abs(spec.a1) ** 2 * measures.multipartite_negativity(spec.psi1), abs=1e-10
+        abs(spec.a1) ** 2 * measures.measure_report(spec.psi1).n_multi, abs=1e-10
     )
     assert t.f22_multi == pytest.approx(
-        abs(spec.a2) ** 2 * measures.multipartite_negativity(spec.psi2), abs=1e-10
+        abs(spec.a2) ** 2 * measures.measure_report(spec.psi2).n_multi, abs=1e-10
     )
     for i, j in (("11", "11"), ("22", "22"), ("12", "12")):
         assert getattr(t, f"g{i}") <= getattr(t, f"f{j}") + 1e-15
@@ -300,10 +306,10 @@ def test_exact_values_match_measures_of_normalized_state():
     chi, norm_sq = normalize(spec.superposed())
     assert r.norm_sq == pytest.approx(norm_sq, abs=1e-12)
     assert r.n_exact == pytest.approx(
-        norm_sq * measures.multipartite_negativity(chi), abs=1e-9
+        norm_sq * measures.measure_report(chi).n_multi, abs=1e-9
     )
     assert r.ngme_exact == pytest.approx(
-        norm_sq * measures.gme_negativity(chi), abs=1e-9
+        norm_sq * measures.measure_report(chi).n_gme, abs=1e-9
     )
 
 
@@ -336,31 +342,31 @@ def test_exchange_symmetry(ghz, w):
 
 def test_min_combine_symmetric_triple_equality():
     ones = (1.0, 1.0, 1.0)
-    assert min_combine_upper(ones, ones, ones)
-    assert min_combine_lower(ones, ones, ones)
+    assert min_combine_slack(ones, ones, ones)[0] >= 0.0
+    assert min_combine_slack(ones, ones, ones)[1] >= 0.0
     # equality case: min(b+c+d) = 3 = min b + max c + max d
     assert min(1 + 1 + 1 for _ in range(1)) == 3
 
 
 def test_min_combine_worked_example():
     b, c, d = (1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (2.0, 3.0, 1.0)
-    assert min_combine_upper(b, c, d)
-    assert min_combine_lower(b, c, d)
+    assert min_combine_slack(b, c, d)[0] >= 0.0
+    assert min_combine_slack(b, c, d)[1] >= 0.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(b=positive_triples(), c=positive_triples(), d=positive_triples())
 def test_min_combine_random_triples(b, c, d):
-    assert min_combine_upper(b, c, d)
-    assert min_combine_lower(b, c, d)
+    assert min_combine_slack(b, c, d)[0] >= 0.0
+    assert min_combine_slack(b, c, d)[1] >= 0.0
 
 
 def test_min_combine_rejects_nonpositive():
     good = (1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
-        min_combine_upper((0.0, 1.0, 1.0), good, good)
+        min_combine_slack((0.0, 1.0, 1.0), good, good)
     with pytest.raises(ValueError, match="length"):
-        min_combine_lower((1.0, 1.0), good, good)
+        min_combine_slack((1.0, 1.0), good, good)
 
 
 # ------------------------------------------------------------------- sweep
@@ -370,10 +376,10 @@ def test_z_sweep_endpoints_match_pure_states():
     reports = z_family_sweep([0.0, 1.0])
     w, g = library.w_state(), library.ghz(2)
     assert reports[0].n_exact == pytest.approx(
-        measures.multipartite_negativity(w), abs=1e-10
+        measures.measure_report(w).n_multi, abs=1e-10
     )
     assert reports[0].ngme_exact == pytest.approx(
-        measures.gme_negativity(w), abs=1e-10
+        measures.measure_report(w).n_gme, abs=1e-10
     )
     assert reports[1].n_exact == pytest.approx(6.0, abs=1e-10)
     assert reports[1].ngme_exact == pytest.approx(1.0, abs=1e-10)

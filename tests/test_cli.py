@@ -21,7 +21,7 @@ import supneg
 import supneg.cli as cli
 import supneg.measures as measures
 import supneg.verify as verify
-from supneg import library, save_state
+from supneg import library
 from supneg.cli import (
     CliError,
     main,
@@ -85,7 +85,7 @@ def test_parse_named_states():
     )
     z = parse_named_state("z:p=0.3,phi=0.5")
     assert z.is_normalized
-    spec = library.z_family(library.ZFamilyParams(p=0.3, phi=0.5))
+    spec = library.z_family(0.3, phi=0.5)
     np.testing.assert_allclose(z.amplitudes, spec.superposed().amplitudes, atol=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_measure_named_w(capsys):
 
 def test_measure_product_state_file_all_zero(capsys, tmp_path):
     path = tmp_path / "s.json"
-    save_state(new_state([2, 2, 2], [1, 0, 0, 0, 0, 0, 0, 0]), path)
+    path.write_text(json.dumps(new_state([2, 2, 2], [1, 0, 0, 0, 0, 0, 0, 0]).to_dict()))
     code, out, _ = run_cli(capsys, "measure", "--file", str(path))
     assert code == 0
     payload = json.loads(out)
@@ -128,7 +128,7 @@ def test_measure_product_state_file_all_zero(capsys, tmp_path):
 
 def test_measure_file_matches_named(capsys, tmp_path):
     path = tmp_path / "w.json"
-    save_state(library.w_state(), path)
+    path.write_text(json.dumps(library.w_state().to_dict()))
     code_a, out_a, _ = run_cli(capsys, "measure", "--file", str(path))
     code_b, out_b, _ = run_cli(capsys, "measure", "--named", "w")
     pa, pb = json.loads(out_a), json.loads(out_b)
@@ -366,8 +366,8 @@ def test_bounds_degenerate_second_component(capsys):
 
 def test_bounds_disjoint_product_components(capsys, tmp_path):
     p0, p7 = tmp_path / "p0.json", tmp_path / "p7.json"
-    save_state(new_state([2, 2, 2], [1, 0, 0, 0, 0, 0, 0, 0]), p0)
-    save_state(new_state([2, 2, 2], [0, 0, 0, 0, 0, 0, 0, 1]), p7)
+    p0.write_text(json.dumps(new_state([2, 2, 2], [1, 0, 0, 0, 0, 0, 0, 0]).to_dict()))
+    p7.write_text(json.dumps(new_state([2, 2, 2], [0, 0, 0, 0, 0, 0, 0, 1]).to_dict()))
     code, out, _ = run_cli(
         capsys,
         "bounds", "--s1", str(p0), "--s2", f"file:{p7}", "--p", "0.5",
@@ -397,6 +397,24 @@ def test_bounds_requires_coefficients(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "states, coeffs",
+    [
+        (("named:ghz", "named:w"), ("--a1", "1", "--a2", "0")),
+        (("missing1.json", "missing2.json"), ("--a2", "0")),
+    ],
+)
+def test_bounds_p_conflicts_with_a1_a2(capsys, tmp_path, monkeypatch, states, coeffs):
+    # the missing files show that the conflict is reported before any state is read
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "bounds", "--s1", states[0], "--s2", states[1], "--p", "0.5", *coeffs
+    )
+    assert code == 2
+    assert out == ""
+    assert "--p" in err and "--a1" in err and "cannot read" not in err
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -424,7 +442,7 @@ def test_sweep_endpoints_match_measure(capsys):
     w_row = dict(zip(header, map(float, lines[1].split(","))))
     ghz_row = dict(zip(header, map(float, lines[2].split(","))))
     assert w_row["ngme_exact"] == pytest.approx(
-        measures.gme_negativity(library.w_state()), abs=1e-10
+        measures.measure_report(library.w_state()).n_gme, abs=1e-10
     )
     assert ghz_row["n_exact"] == pytest.approx(6.0, abs=1e-10)
 
@@ -670,24 +688,25 @@ def test_module_entry_point_subprocess():
 
 PUBLIC_API = [
     "Bipartition", "BoundsReport", "CrossTermTable", "MeasureReport", "PureState",
-    "SchmidtSpectrum", "SuperpositionSpec", "ZFamilyParams", "bipartitions",
-    "conjugate", "cross_sums", "density_matrix", "evaluate_bounds",
-    "evaluate_bounds_batch", "fit_gme_closed_form", "ghz", "gme_concurrence",
-    "gme_negativity", "haar_random", "hermitian_eigenvalues", "load_state",
-    "matricize", "measure_report", "min_combine_lower", "min_combine_upper",
-    "multipartite_negativity", "negativities_pt_oracle", "negativities_so",
-    "negativity_schmidt", "negativity_so", "new_state", "normalize",
-    "partial_transpose", "random_biseparable", "random_superposition_spec",
-    "reduced_density", "save_state", "superpose", "w_state", "z_family",
-    "z_family_sweep",
+    "SuperpositionSpec", "bipartitions", "cross_sums", "density_matrix",
+    "evaluate_bounds", "evaluate_bounds_batch", "fit_gme_closed_form", "ghz",
+    "haar_random", "hermitian_eigenvalues", "load_state", "matricize",
+    "measure_report", "negativities_pt_oracle", "negativities_so", "new_state",
+    "normalize", "partial_transpose", "random_biseparable",
+    "random_superposition_spec", "reduced_density", "superpose", "w_state",
+    "z_family", "z_family_sweep",
 ]
-# single-item wrappers of a batch entry, and test references (tests/reference.py)
+# single-item wrappers of a batch entry, test references (tests/reference.py),
+# and names that only tests reached
 REMOVED_NAMES = [
     "cross_sum", "concurrence_sq", "multipartite_concurrence_sq", "is_biseparable",
     "BiseparabilityReport", "BISEPARABLE_TOL", "cross_terms", "total_negativity_bounds",
     "gme_negativity_bounds", "negativity_pt_oracle", "schmidt_spectrum",
     "GeneratorPair", "generator_pairs", "_conj_matricizations", "bilinear_form",
     "bilinear_matrix", "trace_norm", "haar_unitary", "apply_product_unitary",
+    "negativity_so", "negativity_schmidt", "multipartite_negativity", "gme_negativity",
+    "gme_concurrence", "SchmidtSpectrum", "conjugate", "save_state", "ZFamilyParams",
+    "min_combine_upper", "min_combine_lower",
 ]
 
 

@@ -26,7 +26,7 @@ def test_ghz_qubits_amplitudes(ghz):
 def test_ghz_qutrits_schmidt_flat():
     g3 = library.ghz(3)
     for cut in bipartitions(g3):
-        lam = schmidt_spectra([(g3, cut)])[0].lambdas
+        lam = schmidt_spectra([(g3, cut)])[0]
         np.testing.assert_allclose(lam, [1 / 3] * 3, atol=1e-12)
 
 
@@ -61,12 +61,12 @@ def test_w_permutation_symmetric(w):
 
 
 def test_z_family_endpoints():
-    spec1 = library.z_family(library.ZFamilyParams(p=1.0))
+    spec1 = library.z_family(1.0)
     chi1 = spec1.superposed()
     np.testing.assert_allclose(chi1.amplitudes, library.ghz(2).amplitudes)
 
     phi = 1.2
-    spec0 = library.z_family(library.ZFamilyParams(p=0.0, phi=phi))
+    spec0 = library.z_family(0.0, phi=phi)
     chi0 = spec0.superposed()
     np.testing.assert_allclose(
         chi0.amplitudes, np.exp(1j * phi) * library.w_state().amplitudes
@@ -75,21 +75,21 @@ def test_z_family_endpoints():
     from supneg.states import normalize
 
     normalized, _ = normalize(chi0)
-    assert measures.gme_negativity(normalized) == pytest.approx(
-        measures.gme_negativity(library.w_state()), abs=1e-12
+    assert measures.measure_report(normalized).n_gme == pytest.approx(
+        measures.measure_report(library.w_state()).n_gme, abs=1e-12
     )
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.77, 1.0])
 def test_z_family_unit_coefficients_and_norm(p):
-    spec = library.z_family(library.ZFamilyParams(p=p, phi=0.4))
+    spec = library.z_family(p, phi=0.4)
     assert abs(spec.a1) ** 2 + abs(spec.a2) ** 2 == pytest.approx(1.0, abs=1e-14)
     assert spec.superposed().norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def test_z_family_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        library.ZFamilyParams(p=1.5)
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got 1.5"):
+        library.z_family(1.5)
 
 
 # ------------------------------------------------------------ haar sampler
@@ -130,8 +130,8 @@ def test_random_biseparable_product_across_cut(kept):
     cut = Bipartition.of(dims, kept)
     s = library.random_biseparable(cut, dims, seed=kept + 10)
     assert s.norm_sq == pytest.approx(1.0, abs=1e-12)
-    assert measures.negativity_so(s, cut) <= 1e-10
-    assert schmidt_spectra([(s, cut)])[0].rank == 1
+    assert measures.negativities_so([(s, cut)])[0] <= 1e-10
+    assert np.count_nonzero(schmidt_spectra([(s, cut)])[0] > 1e-12) == 1
 
 
 def test_random_biseparable_other_cuts_generically_entangled():
@@ -141,7 +141,7 @@ def test_random_biseparable_other_cuts_generically_entangled():
     for seed in range(100):
         s = library.random_biseparable(cut, dims, seed)
         others = [c for c in bipartitions(s) if c.kept != cut.kept]
-        worst = min(worst, min(measures.negativity_so(s, c) for c in others))
+        worst = min(worst, min(measures.negativities_so([(s, c)])[0] for c in others))
     assert worst > 1e-6
 
 

@@ -18,17 +18,7 @@ from reference import (
     haar_unitary,
 )
 from supneg import bounds, library, oracle, verify
-from supneg.measures import (
-    cross_sums,
-    cut_measures,
-    gme_concurrence,
-    gme_negativity,
-    measure_report,
-    multipartite_negativity,
-    negativities_so,
-    negativity_schmidt,
-    negativity_so,
-)
+from supneg.measures import cross_sums, cut_measures, measure_report, negativities_so
 from supneg.states import (
     Bipartition,
     PureState,
@@ -258,31 +248,31 @@ def test_kernel_property_bits_alone_and_dense_agreement(triples, random):
 
 def test_negativity_golden_values(ghz, w):
     for cut in bipartitions(ghz):
-        assert negativity_so(ghz, cut) == pytest.approx(1.0, abs=1e-12)
-        assert negativity_so(w, cut) == pytest.approx(2 * np.sqrt(2) / 3, abs=1e-12)
+        assert negativities_so([(ghz, cut)])[0] == pytest.approx(1.0, abs=1e-12)
+        assert negativities_so([(w, cut)])[0] == pytest.approx(
+            2 * np.sqrt(2) / 3, abs=1e-12
+        )
 
 
 def test_negativity_zero_bell():
     s = zero_bell()
     cuts = bipartitions(s)
-    assert negativity_so(s, cuts[0]) == pytest.approx(0.0, abs=1e-12)
-    assert negativity_so(s, cuts[1]) == pytest.approx(1.0, abs=1e-12)
+    assert negativities_so([(s, cuts[0])])[0] == pytest.approx(0.0, abs=1e-12)
+    assert negativities_so([(s, cuts[1])])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_negativity_schmidt_values(ghz):
-    assert negativity_schmidt(ghz, Bipartition.of(ghz.dims, 0)) == pytest.approx(1.0)
-    s = basis_state(0)
-    assert negativity_schmidt(s, Bipartition.of(s.dims, 0)) == pytest.approx(
-        0.0, abs=1e-9
-    )
+    def schmidt(state):
+        return cut_measures([(state, Bipartition.of(state.dims, 0))])[0].schmidt
+
+    assert schmidt(ghz) == pytest.approx(1.0)
+    assert schmidt(basis_state(0)) == pytest.approx(0.0, abs=1e-9)
     # maximally entangled A|BC slice of a qutrit system
     amps = np.zeros(27, dtype=complex)
     for i in range(3):
         amps[(i * 3 + i) * 3 + 0] = S3
     sliced = new_state([3, 3, 3], amps)
-    assert negativity_schmidt(sliced, Bipartition.of((3, 3, 3), 0)) == pytest.approx(
-        2.0, abs=1e-9
-    )
+    assert schmidt(sliced) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_negativity_requires_normalized(ghz):
@@ -290,16 +280,16 @@ def test_negativity_requires_normalized(ghz):
 
     doubled = PureState(ghz.dims, 2 * ghz.amplitudes)
     with pytest.raises(ValueError, match="normalized"):
-        negativity_so(doubled, Bipartition.of(ghz.dims, 0))
+        negativities_so([(doubled, Bipartition.of(ghz.dims, 0))])[0]
 
 
 def _assert_dual_path(states):
     """SO and Schmidt paths match the PT oracle, solved as one batch, on every cut."""
     pairs = [(s, cut) for s in states for cut in bipartitions(s)]
     for (s, cut), n_pt in zip(pairs, oracle.negativities_pt_oracle(pairs)):
-        n_so = negativity_so(s, cut)
+        n_so = negativities_so([(s, cut)])[0]
         assert n_so == pytest.approx(n_pt, abs=1e-9)
-        assert n_so == pytest.approx(negativity_schmidt(s, cut), abs=1e-9)
+        assert n_so == pytest.approx(cut_measures([(s, cut)])[0].schmidt, abs=1e-9)
 
 
 @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
@@ -374,24 +364,24 @@ def test_cross_sum_symmetric_exactly_on_haar_pairs(dims):
 
 
 def test_multipartite_negativity_values(ghz, w):
-    assert multipartite_negativity(ghz) == pytest.approx(6.0, abs=1e-12)
-    assert multipartite_negativity(w) == pytest.approx(4 * np.sqrt(2), abs=1e-12)
-    assert multipartite_negativity(basis_state(0)) == 0.0
+    assert measure_report(ghz).n_multi == pytest.approx(6.0, abs=1e-12)
+    assert measure_report(w).n_multi == pytest.approx(4 * np.sqrt(2), abs=1e-12)
+    assert measure_report(basis_state(0)).n_multi == 0.0
 
 
 def test_gme_negativity_values(ghz, w):
-    assert gme_negativity(ghz) == pytest.approx(1.0, abs=1e-12)
-    assert gme_negativity(w) == pytest.approx(2 * np.sqrt(2) / 3, abs=1e-12)
-    assert gme_negativity(zero_bell()) == pytest.approx(0.0, abs=1e-12)
+    assert measure_report(ghz).n_gme == pytest.approx(1.0, abs=1e-12)
+    assert measure_report(w).n_gme == pytest.approx(2 * np.sqrt(2) / 3, abs=1e-12)
+    assert measure_report(zero_bell()).n_gme == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gme_from_superposed_separable_components():
     # both components are product states, but their balanced superposition
     # is genuinely multipartite entangled
     chi = superpose(S2, basis_state(0), S2, basis_state(7))
-    assert gme_negativity(basis_state(0)) == pytest.approx(0.0, abs=1e-12)
-    assert gme_negativity(basis_state(7)) == pytest.approx(0.0, abs=1e-12)
-    assert gme_negativity(chi) == pytest.approx(1.0, abs=1e-12)
+    assert measure_report(basis_state(0)).n_gme == pytest.approx(0.0, abs=1e-12)
+    assert measure_report(basis_state(7)).n_gme == pytest.approx(0.0, abs=1e-12)
+    assert measure_report(chi).n_gme == pytest.approx(1.0, abs=1e-12)
 
 
 def test_composite_ordering_invariance():
@@ -401,8 +391,8 @@ def test_composite_ordering_invariance():
     swapped = new_state(
         (s.dims[0], s.dims[2], s.dims[1]), np.transpose(s.tensor(), (0, 2, 1)).reshape(-1)
     )
-    assert negativity_so(s, Bipartition.of(s.dims, 0)) == pytest.approx(
-        negativity_so(swapped, Bipartition.of(swapped.dims, 0)), abs=1e-12
+    assert negativities_so([(s, Bipartition.of(s.dims, 0))])[0] == pytest.approx(
+        negativities_so([(swapped, Bipartition.of(swapped.dims, 0))])[0], abs=1e-12
     )
 
 
@@ -437,7 +427,7 @@ def test_concurrence_detects_convention_bug(monkeypatch, ghz):
     with pytest.raises(ValueError, match="convention"):
         measure_report(ghz)
     # and the negativity path drops to half the oracle value
-    assert negativity_so(ghz, cut) == pytest.approx(
+    assert negativities_so([(ghz, cut)])[0] == pytest.approx(
         oracle.negativities_pt_oracle([(ghz, cut)])[0] / 2, abs=1e-9
     )
 
@@ -448,9 +438,9 @@ def test_multipartite_concurrence_values(ghz, w):
 
 
 def test_gme_concurrence_values(ghz, w):
-    assert gme_concurrence(ghz) == pytest.approx(1.0, abs=1e-12)
-    assert gme_concurrence(w) == pytest.approx(2 * np.sqrt(2) / 3, abs=1e-12)
-    assert gme_concurrence(zero_bell()) == pytest.approx(0.0, abs=1e-6)
+    assert measure_report(ghz).c_gme == pytest.approx(1.0, abs=1e-12)
+    assert measure_report(w).c_gme == pytest.approx(2 * np.sqrt(2) / 3, abs=1e-12)
+    assert measure_report(zero_bell()).c_gme == pytest.approx(0.0, abs=1e-6)
 
 
 # ------------------------------------------------------------ biseparability
@@ -485,7 +475,8 @@ def test_biseparable_flags_match_schmidt_rank():
         cut0 = bipartitions(library.ghz(2))[seed % 3]
         s = library.random_biseparable(cut0, [2, 2, 2], seed)
         for cut, flag in zip(bipartitions(s), separable_cuts(s)):
-            assert flag == (schmidt_spectra([(s, cut)])[0].rank == 1)
+            lam = schmidt_spectra([(s, cut)])[0]
+            assert flag == (np.count_nonzero(lam > 1e-12) == 1)
 
 
 # ----------------------------------------------------- local unitary invariance
@@ -496,14 +487,18 @@ def test_local_unitary_invariance(seed):
     s = library.haar_random([2, 2, 2], seed)
     us = [haar_unitary(2, 100 * seed + k) for k in range(3)]
     rotated = apply_product_unitary(s, us)
-    assert multipartite_negativity(rotated) == pytest.approx(
-        multipartite_negativity(s), abs=1e-8
+    assert measure_report(rotated).n_multi == pytest.approx(
+        measure_report(s).n_multi, abs=1e-8
     )
-    assert gme_negativity(rotated) == pytest.approx(gme_negativity(s), abs=1e-8)
+    assert measure_report(rotated).n_gme == pytest.approx(
+        measure_report(s).n_gme, abs=1e-8
+    )
     assert measure_report(rotated).c2_multi == pytest.approx(
         measure_report(s).c2_multi, abs=1e-8
     )
-    assert gme_concurrence(rotated) == pytest.approx(gme_concurrence(s), abs=1e-8)
+    assert measure_report(rotated).c_gme == pytest.approx(
+        measure_report(s).c_gme, abs=1e-8
+    )
 
 
 # -------------------------------------------------------------- full report
@@ -511,7 +506,7 @@ def test_local_unitary_invariance(seed):
 
 def test_measure_report_structure_and_identities(w):
     report = measure_report(w)
-    d = report.to_dict(include_diagnostics=False)
+    d = report.to_dict()
     assert list(d) == [
         "n_a",
         "n_b",
@@ -523,7 +518,9 @@ def test_measure_report_structure_and_identities(w):
         "c2_c",
         "c2_multi",
         "c_gme",
+        "diagnostics",
     ]
+    del d["diagnostics"]
     assert d["n_multi"] == pytest.approx(2 * (d["n_a"] + d["n_b"] + d["n_c"]), abs=1e-10)
     assert d["n_gme"] == min(d["n_a"], d["n_b"], d["n_c"])  # exact, by construction
     assert all(isinstance(v, float) for v in d.values())
@@ -564,7 +561,16 @@ def test_cut_measures_bits_do_not_depend_on_the_batch():
     for (s, cut), together in zip(pairs, batch):
         alone = measures.cut_measures([(s, cut)])[0]
         assert [float(v).hex() for v in alone] == [float(v).hex() for v in together]
-        assert alone.schmidt == negativity_schmidt(s, cut)
+        assert alone.negativity.hex() == negativities_so([(s, cut)])[0].hex()
+    # measure_report reads the same per-cut values, whatever its batch
+    for s, cuts in zip(states, (batch[k : k + 3] for k in range(0, len(batch), 3))):
+        report = measure_report(s)
+        negs = [c.negativity for c in cuts]
+        c2 = [c.density for c in cuts]
+        expected = (*negs, 2.0 * sum(negs), min(negs), float(np.sqrt(min(c2))))
+        got = (report.n_a, report.n_b, report.n_c, report.n_multi, report.n_gme,
+               report.c_gme)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_measure_report_is_one_pass_per_cut(monkeypatch):
@@ -604,13 +610,13 @@ def test_verify_is_one_kernel_call_per_check(monkeypatch):
 def test_verify_run_shares_one_haar_block(monkeypatch):
     draws = _count_calls(monkeypatch, verify._haar_samples)
     kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
-    schmidt_calls = _count_calls(monkeypatch, measures.negativity_schmidt)
+    schmidt_calls = _count_calls(monkeypatch, states.schmidt_spectra)
     jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
     with pytest.warns(UserWarning, match="near-zero norm"):
         verify.run_verify(samples=8, seed=42, tol=1e-9)
     assert len(draws) == 1  # 8 Haar states for three checks, not 24
     assert len(kernel_calls) == 3  # the Haar block, the sandwiches, biseparability
-    assert len(schmidt_calls) == 0
+    assert len(schmidt_calls) == 1  # one stacked call, in the Haar block
     assert len(jacobi_calls) <= 2
 
 

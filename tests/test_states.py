@@ -14,13 +14,11 @@ from supneg.states import (
     Bipartition,
     PureState,
     bipartitions,
-    conjugate,
     load_state,
     matricize,
     new_state,
     normalize,
     reduced_density,
-    save_state,
     schmidt_spectra,
     state_from_dict,
     superpose,
@@ -103,6 +101,14 @@ def test_amplitudes_are_immutable():
     s = basis_state(0)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 2.0
+
+
+def test_states_compare_and_hash_by_identity():
+    a, b = library.ghz(), library.ghz()
+    assert (a == b) is False  # equal amplitudes, distinct objects: no array truth value
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert {a, b, a} == {a, b}
 
 
 # --------------------------------------------------------------- normalize
@@ -227,25 +233,6 @@ def test_superpose_norm_identity(seed, angle):
     assert chi.norm_sq == pytest.approx(expected, abs=1e-10)
 
 
-# --------------------------------------------------------------- conjugate
-
-
-def test_conjugate_real_state_fixed(w):
-    np.testing.assert_array_equal(conjugate(w).amplitudes, w.amplitudes)
-
-
-def test_conjugate_flips_imaginary():
-    s = new_state([2, 2, 2], [1j, 0, 0, 0, 0, 0, 0, 0])
-    assert conjugate(s).amplitudes[0] == -1j
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_conjugate_is_involution(seed):
-    s = library.haar_random([2, 3, 2], seed)
-    np.testing.assert_array_equal(conjugate(conjugate(s)).amplitudes, s.amplitudes)
-
-
 # --------------------------------------------------------------- matricize
 
 
@@ -342,19 +329,19 @@ def test_reduced_density_is_valid_density_matrix(seed):
 
 
 def test_schmidt_ghz(ghz):
-    lam = schmidt_spectra([(ghz, Bipartition.of(ghz.dims, 0))])[0].lambdas
+    lam = schmidt_spectra([(ghz, Bipartition.of(ghz.dims, 0))])[0]
     np.testing.assert_allclose(lam, [0.5, 0.5], atol=1e-12)
 
 
 def test_schmidt_w(w):
-    lam = schmidt_spectra([(w, Bipartition.of(w.dims, 0))])[0].lambdas
+    lam = schmidt_spectra([(w, Bipartition.of(w.dims, 0))])[0]
     np.testing.assert_allclose(lam, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_schmidt_product():
-    spec = schmidt_spectra([(basis_state(0), Bipartition.of((2, 2, 2), 0))])[0]
-    np.testing.assert_allclose(spec.lambdas, [1.0, 0.0], atol=1e-12)
-    assert spec.rank == 1
+    lam = schmidt_spectra([(basis_state(0), Bipartition.of((2, 2, 2), 0))])[0]
+    np.testing.assert_allclose(lam, [1.0, 0.0], atol=1e-12)
+    assert np.count_nonzero(lam > 1e-12) == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -362,7 +349,7 @@ def test_schmidt_product():
 def test_schmidt_spectrum_properties(seed):
     s = library.haar_random([3, 3, 3], seed)
     for cut in bipartitions(s):
-        lam = schmidt_spectra([(s, cut)])[0].lambdas
+        lam = schmidt_spectra([(s, cut)])[0]
         assert np.all(lam[:-1] >= lam[1:])  # descending
         assert np.all(lam >= 0.0) and np.all(lam <= 1.0)
         assert lam.sum() == pytest.approx(1.0, abs=1e-10)
@@ -377,7 +364,7 @@ def test_schmidt_spectrum_properties(seed):
 def test_state_json_roundtrip(tmp_path):
     s = library.haar_random([2, 3, 2], 5)
     path = tmp_path / "state.json"
-    save_state(s, path)
+    path.write_text(json.dumps(s.to_dict()))
     loaded = load_state(path)
     assert loaded.dims == s.dims
     np.testing.assert_array_equal(loaded.amplitudes, s.amplitudes)
