@@ -4,11 +4,11 @@ For chi = a1*psi1 + a2*psi2 the bilinear-form matrix of chi splits into the
 component matrices, so by the norm triangle inequality the per-cut cross
 sums S_gamma(psi_i, psi_j) sandwich both ||chi||^2 N(chi') (total negativity,
 cut sums weighted by the global factor 2) and ||chi||^2 N_GME(chi') (min over
-cuts, combined through the min/max lemma).  Lower bounds may be negative as
-stated; clamped-at-zero variants are reported alongside.  The self sums
-S_gamma(psi, psi), exact values included, are 2 sum_{i<j} s_i s_j over the
-singular values s of the matricization; only S_gamma(psi1, psi2) takes the
-cross-sum kernel.
+cuts, combined through the min/max lemma), both through ``combine_bounds``.
+Lower bounds may be negative as stated; clamped-at-zero variants are reported
+alongside.  The self sums S_gamma(psi, psi), exact values included, are
+2 sum_{i<j} s_i s_j over the singular values s of the matricization; only
+S_gamma(psi1, psi2) takes the cross-sum kernel.
 """
 
 from __future__ import annotations
@@ -133,48 +133,21 @@ def _table(spec: SuperpositionSpec, sums: Sequence[float]) -> CrossTermTable:
     )
 
 
-def _total_bounds(t: CrossTermTable) -> tuple[float, float]:
-    upper = t.f11_multi + t.f22_multi + 2.0 * t.f12_multi
-    lower_raw = max(
-        t.f11_multi - t.f22_multi - 2.0 * t.f12_multi,
-        -t.f11_multi + t.f22_multi - 2.0 * t.f12_multi,
-        -t.f11_multi - t.f22_multi + 2.0 * t.f12_multi,
-    )
+def combine_bounds(lo: Sequence[float], hi: Sequence[float]) -> tuple[float, float]:
+    """Bounds on x_0 + x_1 + x_2 from 0 <= lo[k] <= x_k <= hi[k]: upper is the
+    min over k of the sum with term k at lo[k] and the others at hi, lower_raw
+    the max over k of that sum signed + on term k and - on the others, each
+    added in term order.  lo = hi gives the triangle bounds; per-cut minima and
+    maxima give the min/max lemma.  A length other than 3, or a negative or NaN
+    entry, raises ValueError."""
+    if len(lo) != 3 or len(hi) != 3:
+        raise ValueError("expected three terms in lo and hi")
+    if not all(x >= 0.0 for x in (*lo, *hi)):
+        raise ValueError(f"terms must be numbers >= 0, got lo={lo!r}, hi={hi!r}")
+    (l0, l1, l2), (h0, h1, h2) = lo, hi
+    upper = min(l0 + h1 + h2, h0 + l1 + h2, h0 + h1 + l2)
+    lower_raw = max(l0 - h1 - h2, -h0 + l1 - h2, -h0 - h1 + l2)
     return upper, lower_raw
-
-
-def _gme_bounds(t: CrossTermTable) -> tuple[float, float]:
-    upper = min(
-        t.g11 + t.f22 + 2.0 * t.f12,
-        t.f11 + t.g22 + 2.0 * t.f12,
-        t.f11 + t.f22 + 2.0 * t.g12,
-    )
-    lower_raw = max(
-        t.g11 - t.f22 - 2.0 * t.f12,
-        -t.f11 + t.g22 - 2.0 * t.f12,
-        -t.f11 - t.f22 + 2.0 * t.g12,
-    )
-    return upper, lower_raw
-
-
-def min_combine_slack(
-    b: Sequence[float], c: Sequence[float], d: Sequence[float]
-) -> tuple[float, float]:
-    """Slack of both min/max lemma inequalities for positive triples:
-
-    upper = min(b) + max(c) + max(d) - min_k(b_k + c_k + d_k),
-    lower = min_k(b_k - c_k - d_k) - (min(b) - max(c) - max(d)),
-
-    each nonnegative when its inequality holds.
-    """
-    for t in (b, c, d):
-        if len(t) != 3:
-            raise ValueError("expected triples of length 3")
-        if any(not x > 0.0 for x in t):
-            raise ValueError("all entries must be positive real numbers")
-    upper = min(b) + max(c) + max(d) - min(bk + ck + dk for bk, ck, dk in zip(b, c, d))
-    lower = min(bk - ck - dk for bk, ck, dk in zip(b, c, d)) - (min(b) - max(c) - max(d))
-    return upper, lower
 
 
 def evaluate_bounds_batch(specs: Sequence[SuperpositionSpec]) -> list[BoundsReport]:
@@ -189,8 +162,11 @@ def evaluate_bounds_batch(specs: Sequence[SuperpositionSpec]) -> list[BoundsRepo
     for k, (spec, chi) in enumerate(zip(specs, chis)):
         table = _table(spec, selfs[9 * k : 9 * k + 6] + s12[3 * k : 3 * k + 3])
         per_cut = selfs[9 * k + 6 : 9 * k + 9]
-        t1_upper, t1_lower_raw = _total_bounds(table)
-        t2_upper, t2_lower_raw = _gme_bounds(table)
+        multi = (table.f11_multi, table.f22_multi, 2.0 * table.f12_multi)
+        t1_upper, t1_lower_raw = combine_bounds(multi, multi)
+        t2_upper, t2_lower_raw = combine_bounds(
+            (table.g11, table.g22, 2.0 * table.g12), (table.f11, table.f22, 2.0 * table.f12)
+        )
         reports.append(
             BoundsReport(
                 norm_sq=chi.norm_sq,

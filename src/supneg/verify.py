@@ -10,7 +10,8 @@ concurrence identity, GME positivity): it draws the Haar states once and
 makes one ``measures.cut_measures`` call over their cuts (one cross-sum
 kernel call, stacked Schmidt SVDs) and one Jacobi-oracle call.  The sandwich
 check makes one ``bounds.evaluate_bounds_batch`` call (stacked SVDs, one
-kernel call), the biseparability check one kernel call.
+kernel call), the biseparability check one kernel call, the lemma check one
+``bounds.combine_bounds`` call per sample, the combination both bounds use.
 A check passes when its largest violation over the samples is within
 tolerance (the run's, or its entry in ``FIXED_TOLS``); a failing check keeps
 the inputs of its worst sample.
@@ -123,14 +124,29 @@ def _sandwiches(samples: int, seed: int) -> list[Row]:
     return rows
 
 
+def _lemma_violations(terms: np.ndarray) -> list[float]:
+    """Per sample of an (n, 3 terms, 3 cuts) array, how far ``bounds.combine_bounds``
+    on each term's min and max over cuts misses the per-cut values: 0.0 when
+    the min/max lemma holds."""
+    b, c, d = terms[:, 0], terms[:, 1], terms[:, 2]
+    summed = (b + c + d).min(axis=1)
+    signed = np.max([(b - c - d).min(axis=1), (-b + c - d).min(axis=1),
+                     (-b - c + d).min(axis=1)], axis=0)
+    violations = []
+    for lo, hi, top, bottom in zip(terms.min(axis=2).tolist(), terms.max(axis=2).tolist(),
+                                   summed.tolist(), signed.tolist()):
+        upper, lower_raw = bounds.combine_bounds(lo, hi)
+        violations.append(max(0.0, top - upper, lower_raw - bottom))
+    return violations
+
+
 def _lemma(samples: int, seed: int) -> list[Row]:
-    rows = []
-    for i in range(samples):
-        b, c, d = library._rng(seed ^ i).uniform(1e-6, 10.0, size=(3, 3))
-        upper, lower = bounds.min_combine_slack(b, c, d)
-        inputs = {"sample": i, "b": list(b), "c": list(c), "d": list(d)}
-        rows.append(((max(0.0, -upper, -lower),), inputs))
-    return rows
+    terms = np.array([library._rng(seed ^ i).uniform(1e-6, 10.0, size=(3, 3))
+                      for i in range(samples)])
+    return [
+        ((violation,), {"sample": i, "b": list(b), "c": list(c), "d": list(d)})
+        for i, (violation, (b, c, d)) in enumerate(zip(_lemma_violations(terms), terms))
+    ]
 
 
 def _biseparable(samples: int, seed: int) -> list[Row]:

@@ -1,8 +1,10 @@
 """Test references: the per-entry bilinear forms and the dense T they fill, a
-Jacobi trace norm, and Haar local unitaries.
+Jacobi trace norm, Haar local unitaries, and the aggregates of a cross-term
+table.
 
 No ``supneg`` path calls these; the tests check the compressed cross-sum
-kernel, the Schmidt path and local-unitary invariance against them.
+kernel, the Schmidt path, local-unitary invariance and ``CrossTermTable``
+against them.
 """
 
 from __future__ import annotations
@@ -98,3 +100,20 @@ def apply_product_unitary(state: PureState, unitaries: Sequence[np.ndarray]) -> 
     for k, u in enumerate(unitaries):
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
     return PureState(state.dims, t.reshape(-1))
+
+
+def cross_term_table(
+    a1: complex, a2: complex, s11: Sequence[float], s22: Sequence[float], s12: Sequence[float]
+) -> dict[str, float]:
+    """Every aggregate field of a ``CrossTermTable`` from its per-cut sums, by
+    name: with w the pair's weight |a_i a_j|, f*_multi = w 2 (sum over cuts),
+    f* = w (max over cuts), g* = w (min over cuts)."""
+    table = {}
+    for key, w, sums in (("11", abs(a1) ** 2, s11), ("22", abs(a2) ** 2, s22),
+                         ("12", abs(a1 * a2), s12)):
+        x, y, z = sums
+        ordered = sorted(sums)
+        table[f"f{key}_multi"] = w * 2.0 * (x + y + z)
+        table[f"f{key}"] = w * ordered[-1]
+        table[f"g{key}"] = w * ordered[0]
+    return table

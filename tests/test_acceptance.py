@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reference import bilinear_matrix
-from supneg import bounds, library, measures, oracle
+from supneg import bounds, library, measures, oracle, verify
 from supneg.cli import main as cli_main
 from supneg.states import (
     Bipartition,
@@ -132,12 +132,10 @@ def test_criterion_04_gme_negativity_sandwich(sandwich_ensemble):
 
 
 def test_criterion_05_min_combine_lemma():
+    # 1e5 random (3 terms x 3 cuts) arrays through the check verify runs
     rng = np.random.Generator(np.random.Philox(key=5))
-    triples = rng.uniform(1e-6, 10.0, size=(100_000, 3, 3))
-    violations = 0
-    for b, c, d in triples:
-        slack = bounds.min_combine_slack(tuple(b), tuple(c), tuple(d))
-        violations += sum(not s >= 0.0 for s in slack)
+    terms = rng.uniform(1e-6, 10.0, size=(100_000, 3, 3))
+    violations = sum(v != 0.0 for v in verify._lemma_violations(terms))
     passed = violations == 0
     _report(
         "criterion 5 (min/max combination lemma, 1e5 triples)",
@@ -224,13 +222,14 @@ def test_criterion_08b_z_sweep_gap_report(z_sweep):
     gaps = [r.t2_gap for r in reports]
     max_gap = max(gaps)
     argmax = grid[int(np.argmax(gaps))]
-    passed = min(gaps) >= -1e-9
+    passed = min(gaps) >= -1e-9 and abs(max_gap - 0.6512273221249069) <= 1e-9
     _report(
         "criterion 8b (GME upper-bound gap over sweep)",
         passed,
         f"max t2_gap={max_gap:.6f} at p={argmax:.2f}; all gaps >= -1e-9",
     )
     assert min(gaps) >= -1e-9
+    assert max_gap == pytest.approx(0.6512273221249069, abs=1e-9)
 
 
 def test_criterion_08c_z_sweep_closed_form_fit(z_sweep):

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import cross_term_table
 from supneg import library, measures
 from supneg.bounds import (
     SWEEP_COLUMNS,
     SuperpositionSpec,
     _self_sums,
+    combine_bounds,
     evaluate_bounds,
     evaluate_bounds_batch,
     fit_gme_closed_form,
-    min_combine_slack,
     sweep_csv,
     z_family_sweep,
 )
@@ -114,6 +115,8 @@ def test_cross_terms_identities_on_random_specs(seed):
     )
     for i, j in (("11", "11"), ("22", "22"), ("12", "12")):
         assert getattr(t, f"g{i}") <= getattr(t, f"f{j}") + 1e-15
+    expected = cross_term_table(spec.a1, spec.a2, t.s11, t.s22, t.s12)
+    assert {name: getattr(t, name) for name in expected} == expected
     assert min(t.s11) >= 0 and min(t.s22) >= 0 and min(t.s12) >= 0
 
 
@@ -233,8 +236,9 @@ def test_gme_bounds_tight_for_disjoint_products():
 # ---------------------------------------------------------------- sandwich
 
 
-@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3]])
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
 def test_sandwich_on_random_specs(dims):
+    spread = 0.0
     for seed in range(40):
         spec = library.random_superposition_spec(dims, seed)
         r = evaluate_bounds(spec)
@@ -243,6 +247,16 @@ def test_sandwich_on_random_specs(dims):
         assert r.t2_lower_raw <= r.ngme_exact + 1e-9
         assert r.ngme_exact <= r.t2_upper + 1e-9
         assert r.t1_lower >= 0.0 and r.t2_lower >= 0.0
+        # the GME bounds are the tightest of their three forms
+        t = r.terms
+        uppers = (t.g11 + t.f22 + 2 * t.f12, t.f11 + t.g22 + 2 * t.f12,
+                  t.f11 + t.f22 + 2 * t.g12)
+        lowers = (t.g11 - t.f22 - 2 * t.f12, -t.f11 + t.g22 - 2 * t.f12,
+                  -t.f11 - t.f22 + 2 * t.g12)
+        assert all(r.t2_upper <= u for u in uppers)
+        assert all(r.t2_lower_raw >= v for v in lowers)
+        spread = max(spread, max(uppers) - min(uppers), max(lowers) - min(lowers))
+    assert spread > 0.1  # the forms differ, so the choice among them shows
 
 
 def _on_levels(state, low, d=4):
@@ -329,12 +343,13 @@ def test_phase_covariance_of_bounds():
 
 
 def test_exchange_symmetry(ghz, w):
-    spec = SuperpositionSpec(0.6, 0.8, ghz, w)
-    a = evaluate_bounds(spec)
-    b = evaluate_bounds(SuperpositionSpec(spec.a2, spec.a1, spec.psi2, spec.psi1))
-    assert a.t1_upper == b.t1_upper
-    assert a.t1_lower_raw == pytest.approx(b.t1_lower_raw, abs=1e-12)
-    assert a.t2_upper == pytest.approx(b.t2_upper, abs=1e-12)
+    specs = [SuperpositionSpec(0.6, 0.8, ghz, w)]
+    specs += [library.random_superposition_spec(dims, seed)
+              for dims in ([2, 2, 2], [3, 3, 3], [2, 3, 4]) for seed in range(5)]
+    for spec in specs:
+        a = evaluate_bounds(spec)
+        b = evaluate_bounds(SuperpositionSpec(spec.a2, spec.a1, spec.psi2, spec.psi1))
+        assert a.to_dict() == b.to_dict()
 
 
 # -------------------------------------------------------------- min/max lemma
@@ -342,31 +357,47 @@ def test_exchange_symmetry(ghz, w):
 
 def test_min_combine_symmetric_triple_equality():
     ones = (1.0, 1.0, 1.0)
-    assert min_combine_slack(ones, ones, ones)[0] >= 0.0
-    assert min_combine_slack(ones, ones, ones)[1] >= 0.0
-    # equality case: min(b+c+d) = 3 = min b + max c + max d
-    assert min(1 + 1 + 1 for _ in range(1)) == 3
+    # b = c = d = (1, 1, 1): upper = min(b + c + d) = 3, lower_raw = 1 - 1 - 1
+    assert combine_bounds(ones, ones) == (3.0, -1.0)
+    # lo = hi, the triangle bounds of a total: 1 + 2 + 4 and -1 - 2 + 4
+    assert combine_bounds((1.0, 2.0, 4.0), (1.0, 2.0, 4.0)) == (7.0, 1.0)
+    # zero terms, as a product component gives
+    assert combine_bounds((0.0, 0.5, 0.0), (2.0, 0.5, 0.0)) == (0.5, -0.5)
 
 
 def test_min_combine_worked_example():
-    b, c, d = (1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (2.0, 3.0, 1.0)
-    assert min_combine_slack(b, c, d)[0] >= 0.0
-    assert min_combine_slack(b, c, d)[1] >= 0.0
+    # b = (1, 2, 3), c = d = (1, 1, 1) over three cuts: per-term min (1, 1, 1)
+    # and max (3, 1, 1); min(b + c + d) = 3 and min(b - c - d) = -1 attain both
+    assert combine_bounds((1.0, 1.0, 1.0), (3.0, 1.0, 1.0)) == (3.0, -1.0)
+    # b = (1, 2, 3), c = (3, 1, 2), d = (2, 3, 1): every term spans [1, 3]
+    assert combine_bounds((1.0, 1.0, 1.0), (3.0, 3.0, 3.0)) == (7.0, -5.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(b=positive_triples(), c=positive_triples(), d=positive_triples())
 def test_min_combine_random_triples(b, c, d):
-    assert min_combine_slack(b, c, d)[0] >= 0.0
-    assert min_combine_slack(b, c, d)[1] >= 0.0
+    upper, lower_raw = combine_bounds([min(b), min(c), min(d)], [max(b), max(c), max(d)])
+    cuts = list(zip(b, c, d))
+    assert upper >= min(x + y + z for x, y, z in cuts)
+    assert lower_raw <= max(
+        min(x - y - z for x, y, z in cuts),
+        min(-x + y - z for x, y, z in cuts),
+        min(-x - y + z for x, y, z in cuts),
+    )
 
 
 def test_min_combine_rejects_nonpositive():
     good = (1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        min_combine_slack((0.0, 1.0, 1.0), good, good)
-    with pytest.raises(ValueError, match="length"):
-        min_combine_slack((1.0, 1.0), good, good)
+    for bad in ((-1.0, 1.0, 1.0), (1.0, float("nan"), 1.0)):
+        with pytest.raises(ValueError, match=">= 0"):
+            combine_bounds(bad, good)
+        with pytest.raises(ValueError, match=">= 0"):
+            combine_bounds(good, bad)
+    with pytest.raises(ValueError, match="three"):
+        combine_bounds((1.0, 1.0), good)
+    with pytest.raises(ValueError, match="three"):
+        combine_bounds(good, (1.0,) * 4)
+    assert combine_bounds((0.0,) * 3, (0.0,) * 3) == (0.0, 0.0)
 
 
 # ------------------------------------------------------------------- sweep

@@ -706,7 +706,7 @@ REMOVED_NAMES = [
     "bilinear_matrix", "trace_norm", "haar_unitary", "apply_product_unitary",
     "negativity_so", "negativity_schmidt", "multipartite_negativity", "gme_negativity",
     "gme_concurrence", "SchmidtSpectrum", "conjugate", "save_state", "ZFamilyParams",
-    "min_combine_upper", "min_combine_lower",
+    "min_combine_upper", "min_combine_lower", "min_combine_slack",
 ]
 
 
