@@ -9,7 +9,6 @@ partial-transpose oracle.
 from .bounds import (
     BoundsReport,
     CrossTermTable,
-    SuperpositionSpec,
     evaluate_bounds,
     evaluate_bounds_batch,
     fit_gme_closed_form,
@@ -38,13 +37,12 @@ from .oracle import (
 from .states import (
     Bipartition,
     PureState,
+    SuperpositionSpec,
     bipartitions,
     load_state,
     matricize,
     new_state,
     normalize,
-    reduced_density,
-    superpose,
 )
 
 __version__ = "0.1.0"

@@ -8,48 +8,26 @@ cuts, combined through the min/max lemma), both through ``combine_bounds``.
 Lower bounds may be negative as stated; clamped-at-zero variants are reported
 alongside.  The self sums S_gamma(psi, psi), exact values included, are
 2 sum_{i<j} s_i s_j over the singular values s of the matricization; only
-S_gamma(psi1, psi2) takes the cross-sum kernel.
+S_gamma(psi1, psi2) takes the cross-sum kernel.  The superposition itself,
+``SuperpositionSpec``, lives in ``supneg.states`` with its coefficient checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import library
 from .measures import cross_sums
-from .states import Bipartition, PureState, bipartitions, singular_values, superpose
+from .states import Bipartition, PureState, SuperpositionSpec, bipartitions, singular_values
 
 # Previously reported closed-form constants for the GHZ/W-superposition
 # family, kept only for the comparison emitted by sweeps; this package's
 # conventions do not reproduce them (see README).
 REPORTED_TOTAL_CONSTANTS = (32.0, 16.0 * np.sqrt(6.0), 24.0)
 REPORTED_GME_CONSTANTS = (16.0 / 3.0, (8.0 / 3.0) * np.sqrt(6.0), 4.0)
-
-
-@dataclass(frozen=True)
-class SuperpositionSpec:
-    """Coefficients and components of a two-state superposition."""
-
-    a1: complex
-    a2: complex
-    psi1: PureState
-    psi2: PureState
-    coeff_check: bool = True
-    _chi: PureState = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a1", complex(self.a1))
-        object.__setattr__(self, "a2", complex(self.a2))
-        # superpose's own dims and coefficient checks, and the vector it builds
-        chi = superpose(self.a1, self.psi1, self.a2, self.psi2, self.coeff_check)
-        object.__setattr__(self, "_chi", chi)
-
-    def superposed(self) -> PureState:
-        """The raw (unnormalized) vector a1*psi1 + a2*psi2."""
-        return self._chi
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import library, measures
-from .states import PureState, load_state, normalize
+from .states import PureState, SuperpositionSpec, coefficient_weight, load_state, normalize
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -160,13 +160,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         a2 = parse_complex(args.a2)
     else:
         raise CliError("bounds needs either --p or both --a1 and --a2")
-    weight = abs(a1) ** 2 + abs(a2) ** 2
+    weight = coefficient_weight(a1, a2)
     if abs(weight - 1.0) > CLI_COEFF_TOL and not args.no_coeff_check:
         raise CliError(
             f"|a1|^2 + |a2|^2 = {weight!r} is off unit by more than {CLI_COEFF_TOL}; "
             "fix the coefficients or pass --no-coeff-check"
         )
-    spec = bounds_mod.SuperpositionSpec(a1, a2, psi1, psi2, coeff_check=False)
+    spec = SuperpositionSpec(a1, a2, psi1, psi2, coeff_check=False)
     report = bounds_mod.evaluate_bounds(spec)
     payload = report.to_dict()
     payload["a1"] = [a1.real, a1.imag]

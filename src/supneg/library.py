@@ -10,14 +10,11 @@ their streams by deriving per-sample seeds as ``seed XOR index``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .states import Bipartition, PureState, new_state, validate_dims
-
-if TYPE_CHECKING:
-    from .bounds import SuperpositionSpec
+from .states import Bipartition, PureState, SuperpositionSpec, new_state, validate_dims
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -45,15 +42,13 @@ def w_state() -> PureState:
     return new_state([2, 2, 2], amps)
 
 
-def z_family(p: float, phi: float = 0.0) -> "SuperpositionSpec":
+def z_family(p: float, phi: float = 0.0) -> SuperpositionSpec:
     """Two-component spec sqrt(p)*GHZ + e^{i phi} sqrt(1-p)*W on qubits, for a
     mixing weight p in [0, 1] and a relative phase phi (radians).
 
     The phase sits on the W component only; GHZ and W are orthogonal so the
     superposed vector has unit norm for every p.
     """
-    from .bounds import SuperpositionSpec  # import here: bounds imports this module
-
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     return SuperpositionSpec(
@@ -70,14 +65,12 @@ def haar_random(dims: Sequence[int], seed: int) -> PureState:
     return new_state(dims, _haar_vec(_rng(seed), math.prod(dims)))
 
 
-def random_superposition_spec(dims: Sequence[int], seed: int) -> "SuperpositionSpec":
+def random_superposition_spec(dims: Sequence[int], seed: int) -> SuperpositionSpec:
     """Two Haar components with Haar-phase unit coefficients, one generator.
 
     Coefficients are a complex 2-vector of i.i.d. Gaussians scaled to the
     unit sphere, so |a1|^2 + |a2|^2 = 1 with random moduli and phases.
     """
-    from .bounds import SuperpositionSpec  # import here: bounds imports this module
-
     dims = validate_dims(dims)
     rng = _rng(seed)
     n = math.prod(dims)

@@ -146,21 +146,17 @@ def cross_sum_spectra(
     looked up per call, so a test can swap it.
     """
     triples = list(triples)
-    mats: dict[tuple[int, int], np.ndarray] = {}  # (id(state), cut.kept)
     blocks: list[list[np.ndarray]] = []
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, (psi, phi, cut) in enumerate(triples):
         if psi.dims != phi.dims:
             raise ValueError(f"dims mismatch: {psi.dims} vs {phi.dims}")
         ordered = _byte_ordered(psi, phi)
-        for state in ordered:
-            if (id(state), cut.kept) not in mats:
-                mats[id(state), cut.kept] = matricize(state, cut)
-        blocks.append([mats[id(state), cut.kept] for state in ordered])
+        blocks.append([matricize(state, cut) for state in ordered])
         groups.setdefault((len(ordered), cut.row_dim, cut.col_dim), []).append(i)
     # every QR first, so that no matricization is held while T is built
     lqs = [_stacked_lq([blocks[i] for i in members]) for members in groups.values()]
-    del mats, blocks
+    del blocks
     spectra: list = [None] * len(triples)
     for ((_, rows, _), members), factors in zip(groups.items(), lqs):
         lp, lq = factors[:, :rows], factors[:, -rows:]

@@ -1,5 +1,10 @@
 """Pure-state containers and the tensor bookkeeping built on top of them.
 
+``PureState`` holds one state.  ``SuperpositionSpec`` holds a two-component
+superposition a1*psi1 + a2*psi2 and is the only builder of its vector;
+``bounds`` evaluates specs, and the CLI checks its coefficients with the
+spec's own ``coefficient_weight``.
+
 Amplitudes are flat complex vectors in row-major subsystem order: for a
 tripartite state the entry for basis label (i_A, i_B, i_C) sits at index
 ``(i_A * d_B + i_B) * d_C + i_C``.  All containers are immutable and every
@@ -12,7 +17,7 @@ import json
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -176,30 +181,57 @@ def normalize(state: PureState) -> tuple[PureState, float]:
     return PureState(state.dims, state.amplitudes / np.sqrt(norm_sq)), norm_sq
 
 
-def superpose(
-    a1: complex,
-    psi1: PureState,
-    a2: complex,
-    psi2: PureState,
-    check_coefficients: bool = True,
-) -> PureState:
-    """Component-wise a1*psi1 + a2*psi2, left unnormalized.
-
-    The coefficient constraint |a1|^2 + |a2|^2 = 1 is enforced by default;
-    pass ``check_coefficients=False`` for exploratory use.  The output can
-    have vanishing norm (parallel components with opposite phases) -- that
-    is deliberate, downstream normalization is where the error fires.
-    """
-    if psi1.dims != psi2.dims:
-        raise ValueError(f"dims mismatch: {psi1.dims} vs {psi2.dims}")
-    if not np.isfinite([a1, a2]).all():  # in both modes: nan slips past the weight
+def coefficient_weight(a1: complex, a2: complex) -> float:
+    """|a1|^2 + |a2|^2 of two superposition coefficients; ValueError when a
+    coefficient is not finite or the weight overflows the float range."""
+    if not np.isfinite([a1, a2]).all():  # nan slips past the weight
         raise ValueError(f"superposition coefficients must be finite, got {a1!r}, {a2!r}")
-    weight = abs(a1) ** 2 + abs(a2) ** 2
-    if check_coefficients and abs(weight - 1.0) > COEFF_TOL:
-        raise ValueError(
-            f"superposition coefficients must satisfy |a1|^2+|a2|^2=1, got {weight!r}"
-        )
-    return PureState(psi1.dims, a1 * psi1.amplitudes + a2 * psi2.amplitudes)
+    try:
+        weight = abs(a1) ** 2 + abs(a2) ** 2
+    except OverflowError:  # abs() or ** of a modulus above ~1.3e154
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise ValueError(f"|a1|^2 + |a2|^2 overflows for coefficients {a1!r}, {a2!r}")
+    return weight
+
+
+@dataclass(frozen=True)
+class SuperpositionSpec:
+    """Coefficients and components of chi = a1*psi1 + a2*psi2, the only
+    constructor of a superposed vector.
+
+    Components must share dims and coefficients must be finite with a finite
+    ``coefficient_weight``; |a1|^2 + |a2|^2 = 1 is enforced to COEFF_TOL
+    unless ``coeff_check`` is False, for exploratory use.  The raw vector can
+    have vanishing norm (parallel components with opposite phases) -- that is
+    deliberate, downstream normalization is where the error fires.
+    """
+
+    a1: complex
+    a2: complex
+    psi1: PureState
+    psi2: PureState
+    coeff_check: bool = True
+    _chi: PureState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a1, a2 = complex(self.a1), complex(self.a2)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        psi1, psi2 = self.psi1, self.psi2
+        if psi1.dims != psi2.dims:
+            raise ValueError(f"dims mismatch: {psi1.dims} vs {psi2.dims}")
+        weight = coefficient_weight(a1, a2)  # in both modes
+        if self.coeff_check and abs(weight - 1.0) > COEFF_TOL:
+            raise ValueError(
+                f"superposition coefficients must satisfy |a1|^2+|a2|^2=1, got {weight!r}"
+            )
+        chi = PureState(psi1.dims, a1 * psi1.amplitudes + a2 * psi2.amplitudes)
+        object.__setattr__(self, "_chi", chi)
+
+    def superposed(self) -> PureState:
+        """The raw (unnormalized) vector a1*psi1 + a2*psi2."""
+        return self._chi
 
 
 def matricize(state: PureState, cut: Bipartition) -> np.ndarray:
@@ -216,14 +248,6 @@ def matricize(state: PureState, cut: Bipartition) -> np.ndarray:
     return np.ascontiguousarray(
         state.tensor().transpose(order).reshape(cut.row_dim, cut.col_dim)
     )
-
-
-def reduced_density(state: PureState, cut: Bipartition) -> np.ndarray:
-    """Reduced density matrix of the kept subsystem of a normalized state,
-    rho = M M^dagger."""
-    require_normalized(state, "reduced_density")
-    m = matricize(state, cut)
-    return m @ m.conj().T
 
 
 def singular_values(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[np.ndarray]:
@@ -261,9 +285,9 @@ def schmidt_spectra(
 def state_from_dict(payload: dict) -> PureState:
     """Parse the JSON state format {"dims": [...], "amplitudes": [[re, im], ...]}.
 
-    Anything else -- bare-number, null or string amplitudes, amplitudes out
-    of the float range, non-integer dims -- raises ValueError, which the CLI
-    reports with exit code 2.
+    Anything else -- bare-number, null, boolean or string amplitudes,
+    amplitudes out of the float range, non-integer dims -- raises
+    ValueError, which the CLI reports with exit code 2.
     """
     try:
         dims = payload["dims"]
@@ -273,6 +297,9 @@ def state_from_dict(payload: dict) -> PureState:
     try:
         # two-argument complex() takes real numbers only: no str, None or list
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        # bool is an int, so complex() takes JSON true and false: one more pass
+        if any(type(re) is bool or type(im) is bool for re, im in pairs):
+            raise TypeError("a boolean is not an amplitude")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"amplitudes must be [re, im] pairs of numbers: {exc}") from exc
     return new_state(dims, amps)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, library, measures, oracle
-from .states import Bipartition, PureState, bipartitions
+from .states import Bipartition, PureState, SuperpositionSpec, bipartitions
 
 HAAR_GME_FLOOR = 1e-6  # Haar states must clear this GME negativity
 FIXED_TOLS = {"haar_gme_positive": 0.0}  # names not held to the run's tolerance
@@ -87,14 +87,14 @@ def _haar(samples: int, seed: int) -> list[Row]:
     return rows
 
 
-def _degenerate_spec(seed: int) -> bounds.SuperpositionSpec:
+def _degenerate_spec(seed: int) -> SuperpositionSpec:
     # parallel components with cancelling coefficients: chi is (near) zero
     psi = library.haar_random([2, 2, 2], seed)
     theta = 0.7345
     psi2 = PureState(psi.dims, np.exp(1j * theta) * psi.amplitudes)
     a1 = complex(np.sqrt(0.5))
     a2 = -np.exp(-1j * theta) * np.sqrt(0.5)
-    return bounds.SuperpositionSpec(a1, a2, psi, psi2)
+    return SuperpositionSpec(a1, a2, psi, psi2)
 
 
 def _sandwiches(samples: int, seed: int) -> list[Row]:

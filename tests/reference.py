@@ -1,10 +1,10 @@
 """Test references: the per-entry bilinear forms and the dense T they fill, a
-Jacobi trace norm, Haar local unitaries, and the aggregates of a cross-term
-table.
+Jacobi trace norm, the reduced density matrix, Haar local unitaries, and the
+aggregates of a cross-term table.
 
 No ``supneg`` path calls these; the tests check the compressed cross-sum
-kernel, the Schmidt path, local-unitary invariance and ``CrossTermTable``
-against them.
+kernel, the Schmidt and density paths, local-unitary invariance and
+``CrossTermTable`` against them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from supneg import measures
 from supneg.library import _rng
 from supneg.oracle import hermitian_eigenvalues
-from supneg.states import Bipartition, PureState, matricize
+from supneg.states import Bipartition, PureState, matricize, require_normalized
 
 
 class GeneratorPair(NamedTuple):
@@ -82,6 +82,14 @@ def bilinear_matrix(psi: PureState, phi: PureState, cut: Bipartition) -> np.ndar
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     return float(np.abs(hermitian_eigenvalues(matrix)).sum())
+
+
+def reduced_density(state: PureState, cut: Bipartition) -> np.ndarray:
+    """Reduced density matrix of the kept subsystem of a normalized state,
+    rho = M M^dagger."""
+    require_normalized(state, "reduced_density")
+    m = matricize(state, cut)
+    return m @ m.conj().T
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

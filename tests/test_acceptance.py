@@ -10,16 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from reference import bilinear_matrix
+from reference import bilinear_matrix, reduced_density
 from supneg import bounds, library, measures, oracle, verify
 from supneg.cli import main as cli_main
 from supneg.states import (
     Bipartition,
+    SuperpositionSpec,
     bipartitions,
     new_state,
     normalize,
-    reduced_density,
-    superpose,
 )
 
 S2 = 1 / np.sqrt(2)
@@ -177,7 +176,8 @@ def test_criterion_07_golden_endpoint_values():
         "N_multi(W)=4sqrt2": (measures.measure_report(w).n_multi, 4 * np.sqrt(2), 1e-10),
         "N_GME(W)=2sqrt2/3": (measures.measure_report(w).n_gme, GME_W, 1e-10),
     }
-    chi = superpose(S2, new_state([2, 2, 2], np.eye(8)[0]), S2, new_state([2, 2, 2], np.eye(8)[7]))
+    ket000, ket111 = (new_state([2, 2, 2], np.eye(8)[k]) for k in (0, 7))
+    chi = SuperpositionSpec(S2, S2, ket000, ket111).superposed()
     checks["N_GME(|000>+|111>)=1"] = (measures.measure_report(chi).n_gme, 1.0, 1e-10)
     components_zero = max(
         measures.measure_report(new_state([2, 2, 2], np.eye(8)[k])).n_gme for k in (0, 7)

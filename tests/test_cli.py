@@ -29,7 +29,7 @@ from supneg.cli import (
     parse_named_state,
     run_verify,
 )
-from supneg.states import new_state, normalize, superpose
+from supneg.states import new_state, normalize
 
 S2 = 1 / np.sqrt(2)
 
@@ -235,9 +235,10 @@ _PAIRS = "amplitudes must be [re, im] pairs of numbers"
         ({"dims": [2, 2, 2], "amplitudes": [[None, 0]] + _ONE[1:]}, _PAIRS),
         ({"dims": [2.5, 2, 2], "amplitudes": _ONE}, "dims must be a list of integers"),
         ({"dims": [True, 2, 2], "amplitudes": _ONE}, "dims must be a list of integers"),
+        ({"dims": [2, 2, 2], "amplitudes": [[True, 0]] + _ONE[1:]}, _PAIRS),
     ],
     ids=["bare-numbers", "scalar-dims", "null-amplitudes", "null-in-pair",
-         "fractional-dims", "boolean-dims"],
+         "fractional-dims", "boolean-dims", "boolean-in-pair"],
 )
 def test_measure_malformed_file_exits_2(capsys, tmp_path, payload, message):
     path = tmp_path / "bad.json"
@@ -352,6 +353,25 @@ def test_bounds_no_coeff_check_accepts_rounded(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ngme_exact"] == pytest.approx(np.sqrt(29) / 6, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        ("--a1", "1e200", "--a2", "1"),
+        ("--a1", "1e200", "--a2", "1", "--no-coeff-check"),
+        ("--a1", "1e308+1e308i", "--a2", "0"),
+    ],
+    ids=["squared-modulus", "squared-modulus-unchecked", "complex-modulus"],
+)
+def test_bounds_overflowing_coefficients_exit_2(capsys, coefficients):
+    # |a1|^2 overflows the float range: a message, not an OverflowError
+    code, out, err = run_cli(
+        capsys, "bounds", "--s1", "named:ghz", "--s2", "named:w", *coefficients
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "overflows" in err
 
 
 def test_bounds_degenerate_second_component(capsys):
@@ -693,8 +713,7 @@ PUBLIC_API = [
     "haar_random", "hermitian_eigenvalues", "load_state", "matricize",
     "measure_report", "negativities_pt_oracle", "negativities_so", "new_state",
     "normalize", "partial_transpose", "random_biseparable",
-    "random_superposition_spec", "reduced_density", "superpose", "w_state",
-    "z_family", "z_family_sweep",
+    "random_superposition_spec", "w_state", "z_family", "z_family_sweep",
 ]
 # single-item wrappers of a batch entry, test references (tests/reference.py),
 # and names that only tests reached
@@ -706,7 +725,8 @@ REMOVED_NAMES = [
     "bilinear_matrix", "trace_norm", "haar_unitary", "apply_product_unitary",
     "negativity_so", "negativity_schmidt", "multipartite_negativity", "gme_negativity",
     "gme_concurrence", "SchmidtSpectrum", "conjugate", "save_state", "ZFamilyParams",
-    "min_combine_upper", "min_combine_lower", "min_combine_slack",
+    "min_combine_upper", "min_combine_lower", "min_combine_slack", "superpose",
+    "reduced_density",
 ]
 
 

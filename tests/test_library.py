@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from reference import apply_product_unitary, haar_unitary
+from reference import apply_product_unitary, haar_unitary, reduced_density
 from supneg import library, measures
 from supneg.states import (
     Bipartition,
     bipartitions,
     matricize,
-    reduced_density,
     schmidt_spectra,
 )
 

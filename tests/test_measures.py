@@ -22,12 +22,12 @@ from supneg.measures import cross_sums, cut_measures, measure_report, negativiti
 from supneg.states import (
     Bipartition,
     PureState,
+    SuperpositionSpec,
     bipartitions,
     matricize,
     new_state,
     normalize,
     schmidt_spectra,
-    superpose,
 )
 
 S2 = 1 / np.sqrt(2)
@@ -378,7 +378,7 @@ def test_gme_negativity_values(ghz, w):
 def test_gme_from_superposed_separable_components():
     # both components are product states, but their balanced superposition
     # is genuinely multipartite entangled
-    chi = superpose(S2, basis_state(0), S2, basis_state(7))
+    chi = SuperpositionSpec(S2, S2, basis_state(0), basis_state(7)).superposed()
     assert measure_report(basis_state(0)).n_gme == pytest.approx(0.0, abs=1e-12)
     assert measure_report(basis_state(7)).n_gme == pytest.approx(0.0, abs=1e-12)
     assert measure_report(chi).n_gme == pytest.approx(1.0, abs=1e-12)
@@ -620,12 +620,29 @@ def test_verify_run_shares_one_haar_block(monkeypatch):
     assert len(jacobi_calls) <= 2
 
 
+def _count_builds(monkeypatch, cls):
+    """Count every construction of a dataclass through its __post_init__."""
+    built = []
+    post_init = cls.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
 def test_verify_superposes_each_spec_once(monkeypatch):
-    superpositions = _count_calls(monkeypatch, states.superpose)
+    specs = _count_builds(monkeypatch, SuperpositionSpec)
     with pytest.warns(UserWarning, match="near-zero norm"):
         verify.run_verify(samples=40, seed=42, tol=1e-9)
-    # the spec keeps the vector it validates; the warning reads the report
-    assert len(superpositions) == 40
+    # one spec per sandwich sample builds its vector once; the bounds read the
+    # spec's vector and the warning reads the report
+    assert len(specs) == 40
+    states_built = _count_builds(monkeypatch, PureState)
+    bounds.evaluate_bounds_batch(specs)
+    assert states_built == [] and len(specs) == 40
 
 
 def test_bounds_are_one_kernel_call(monkeypatch):

@@ -9,19 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supneg.states
+from reference import reduced_density
 from supneg import library
 from supneg.states import (
     Bipartition,
     PureState,
+    SuperpositionSpec,
     bipartitions,
     load_state,
     matricize,
     new_state,
     normalize,
-    reduced_density,
     schmidt_spectra,
     state_from_dict,
-    superpose,
 )
 
 S2 = 1 / np.sqrt(2)
@@ -156,7 +156,7 @@ def test_norm_sq_overflow_reads_inf_not_nan():
 
 def test_normalize_parallel_superposition(ghz):
     # <chi|chi> = |a1 + a2|^2 for identical components
-    chi = superpose(S2, ghz, S2, ghz)
+    chi = SuperpositionSpec(S2, S2, ghz, ghz).superposed()
     out, norm_sq = normalize(chi)
     assert norm_sq == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(out.amplitudes, ghz.amplitudes, atol=1e-15)
@@ -175,35 +175,35 @@ def test_normalize_rejects_non_finite_amplitudes(ghz, bad):
 
 
 def test_normalize_rejects_zero():
-    chi = superpose(S2, basis_state(0), -S2, basis_state(0))
+    chi = SuperpositionSpec(S2, -S2, basis_state(0), basis_state(0)).superposed()
     with pytest.raises(ValueError, match="zero vector"):
         normalize(chi)
 
 
-# --------------------------------------------------------------- superpose
+# ------------------------------------------------------- superposition spec
 
 
 def test_superpose_degenerate_coefficient(ghz, w):
-    chi = superpose(1.0, ghz, 0.0, w)
+    chi = SuperpositionSpec(1.0, 0.0, ghz, w).superposed()
     np.testing.assert_array_equal(chi.amplitudes, ghz.amplitudes)
 
 
 def test_superpose_orthogonal_components_makes_ghz(ghz):
-    chi = superpose(S2, basis_state(0), S2, basis_state(7))
+    chi = SuperpositionSpec(S2, S2, basis_state(0), basis_state(7)).superposed()
     np.testing.assert_allclose(chi.amplitudes, ghz.amplitudes)
     assert chi.norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def test_superpose_parallel_components(ghz):
-    chi = superpose(S2, ghz, S2, ghz)
+    chi = SuperpositionSpec(S2, S2, ghz, ghz).superposed()
     np.testing.assert_allclose(chi.amplitudes, np.sqrt(2) * ghz.amplitudes)
     assert chi.norm_sq == pytest.approx(2.0, abs=1e-12)
 
 
 def test_superpose_coefficient_constraint(ghz, w):
     with pytest.raises(ValueError, match="a1"):
-        superpose(1.0, ghz, 1.0, w)
-    chi = superpose(1.0, ghz, 1.0, w, check_coefficients=False)
+        SuperpositionSpec(1.0, 1.0, ghz, w)
+    chi = SuperpositionSpec(1.0, 1.0, ghz, w, coeff_check=False).superposed()
     assert chi.norm_sq > 1.0
 
 
@@ -211,14 +211,23 @@ def test_superpose_coefficient_constraint(ghz, w):
 @pytest.mark.parametrize("check", [True, False])
 def test_superpose_rejects_non_finite_coefficients(ghz, w, bad, check):
     with pytest.raises(ValueError, match="finite"):
-        superpose(bad, ghz, 1.0, w, check_coefficients=check)
+        SuperpositionSpec(bad, 1.0, ghz, w, coeff_check=check)
     with pytest.raises(ValueError, match="finite"):
-        superpose(S2, ghz, bad, w, check_coefficients=check)
+        SuperpositionSpec(S2, bad, ghz, w, coeff_check=check)
+
+
+@pytest.mark.parametrize("a1,a2", [(1e200, 1), (1e308 + 1e308j, 0), (1e154, 1e154)],
+                         ids=["squared-modulus", "complex-modulus", "sum"])
+@pytest.mark.parametrize("check", [True, False])
+def test_spec_rejects_overflowing_weight(ghz, w, a1, a2, check):
+    # a ValueError, not the OverflowError of abs() or **, in both modes
+    with pytest.raises(ValueError, match="overflows"):
+        SuperpositionSpec(a1, a2, ghz, w, coeff_check=check)
 
 
 def test_superpose_dims_mismatch(ghz):
     with pytest.raises(ValueError, match="dims"):
-        superpose(S2, ghz, S2, library.ghz(3))
+        SuperpositionSpec(S2, S2, ghz, library.ghz(3))
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,7 +236,7 @@ def test_superpose_norm_identity(seed, angle):
     psi1 = library.haar_random([2, 2, 2], seed)
     psi2 = library.haar_random([2, 2, 2], seed + 1)
     a1, a2 = np.cos(angle), np.sin(angle) * np.exp(0.3j)
-    chi = superpose(a1, psi1, a2, psi2)
+    chi = SuperpositionSpec(a1, a2, psi1, psi2).superposed()
     overlap = complex(np.vdot(psi1.amplitudes, psi2.amplitudes))
     expected = abs(a1) ** 2 + abs(a2) ** 2 + 2 * (np.conj(a1) * a2 * overlap).real
     assert chi.norm_sq == pytest.approx(expected, abs=1e-10)
