@@ -22,12 +22,7 @@ from .library import (
     w_state,
     z_family,
 )
-from .measures import (
-    MeasureReport,
-    cross_sums,
-    measure_report,
-    negativities_so,
-)
+from .measures import MeasureReport, cross_sums, measure_report
 from .oracle import (
     density_matrix,
     hermitian_eigenvalues,

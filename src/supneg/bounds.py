@@ -7,7 +7,8 @@ cut sums weighted by the global factor 2) and ||chi||^2 N_GME(chi') (min over
 cuts, combined through the min/max lemma), both through ``combine_bounds``.
 Lower bounds may be negative as stated; clamped-at-zero variants are reported
 alongside.  The self sums S_gamma(psi, psi), exact values included, are
-2 sum_{i<j} s_i s_j over the singular values s of the matricization; only
+2 sum_{i<j} s_i s_j over the singular values s of the matricization, by
+``states.pair_sum``, the formula of the Schmidt path in ``measures``; only
 S_gamma(psi1, psi2) takes the cross-sum kernel.  The superposition itself,
 ``SuperpositionSpec``, lives in ``supneg.states`` with its coefficient checks.
 """
@@ -21,11 +22,14 @@ import numpy as np
 
 from . import library
 from .measures import cross_sums
-from .states import Bipartition, PureState, SuperpositionSpec, bipartitions, singular_values
+from .states import (Bipartition, PureState, SuperpositionSpec, bipartitions, pair_sum,
+                     singular_values)
 
-# Previously reported closed-form constants for the GHZ/W-superposition
-# family, kept only for the comparison emitted by sweeps; this package's
-# conventions do not reproduce them (see README).
+# Reported closed-form constants for the GHZ/W-superposition family, kept for
+# the comparison emitted by sweeps.  They come out exactly with ordered
+# generator pairs (4x every sum here) and the entry-wise sum of |B| instead
+# of the trace norm.  That sum is at least the trace norm, so upper
+# bounds in that form still bound 4x the negativity; lower bounds do not.
 REPORTED_TOTAL_CONSTANTS = (32.0, 16.0 * np.sqrt(6.0), 24.0)
 REPORTED_GME_CONSTANTS = (16.0 / 3.0, (8.0 / 3.0) * np.sqrt(6.0), 4.0)
 
@@ -84,9 +88,8 @@ class BoundsReport:
 
 
 def _self_sums(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[float]:
-    """S_gamma(psi, psi) of every (state, cut) pair as 2 sum_j s_j (s_0 + ... +
-    s_{j-1}): no term is negative, unlike in (sum s)^2 - sum s^2."""
-    return [float(2.0 * (s[1:] * np.cumsum(s)[:-1]).sum()) for s in singular_values(pairs)]
+    """S_gamma(psi, psi) of every (state, cut) pair as 2 ``pair_sum(s)``."""
+    return [2.0 * pair_sum(s) for s in singular_values(pairs)]
 
 
 def _table(spec: SuperpositionSpec, sums: Sequence[float]) -> CrossTermTable:

@@ -25,8 +25,9 @@ psi = phi, has the singular values of T.
 The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples;
 a report or a verify check makes one call (the Haar check serves three check
 names with one).  Bounds send it only their psi1-psi2 triples: a self sum
-T(P, P) = 2 C2(P) has singular values 2 s_i s_j, i < j, so ``bounds`` reads
-it off the singular values s of P.  Triples of one stacked shape share
+T(P, P) = 2 C2(P) has singular values 2 s_i s_j, i < j, so ``bounds`` and
+the Schmidt path of ``cut_measures`` read it off the singular values s of P
+as 2 ``states.pair_sum(s)``.  Triples of one stacked shape share
 one QR of their stacked transposes; T(L_P, L_Q) is then built
 T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per chunk,
 so the temporaries of a stack stay in cache (three d = 12 cross-pair T built
@@ -54,8 +55,9 @@ from .states import (
     PureState,
     bipartitions,
     matricize,
+    pair_sum,
     require_normalized,
-    schmidt_spectra,
+    singular_values,
 )
 
 T_CHUNK_ENTRIES = 2**14  # T entries per t_matrix call: keeps stacked temporaries in cache
@@ -63,10 +65,11 @@ CONVENTION_TOL = 1e-8  # disagreement between concurrence paths beyond this is a
 
 
 class CutMeasures(NamedTuple):
-    """Per-cut values from sigma (singular values of T) and lambda (Schmidt)."""
+    """Per-cut values from sigma (singular values of T) and the Schmidt values
+    s (singular values of the matricization), lambda = s^2."""
 
     negativity: float  # sum sigma, the trace norm of T
-    schmidt: float  # (sum sqrt(lambda))^2 - 1
+    schmidt: float  # 2 sum_{i<j} s_i s_j, by the shared states.pair_sum
     density: float  # 4 sum_{i<j} lambda_i lambda_j = 2 (1 - Tr rho_gamma^2)
     generator: float  # sum sigma^2 = sum_{alpha,beta} |B_{alpha beta}|^2
 
@@ -179,36 +182,33 @@ def cross_sums(
     return [float(sigma.sum()) for sigma in cross_sum_spectra(triples)]
 
 
-def negativities_so(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[float]:
-    """Per-cut negativity of every (normalized state, cut) pair, in pair order,
-    via the generator representation: one kernel call for the batch."""
-    pairs = list(pairs)
-    for state, _ in pairs:
-        require_normalized(state, "negativities_so")
-    return cross_sums((state, state, cut) for state, cut in pairs)
-
-
 def cut_measures(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[CutMeasures]:
     """All per-cut values of every (normalized state, cut) pair, without
     comparing paths; returned in pair order.
 
-    One stacked Schmidt SVD per matricization shape, and one kernel call for
-    the T spectra of the batch.  The density-path concurrence
-    4 sum_{i<j} lambda_i lambda_j equals 2(1 - Tr rho^2) at unit norm without
-    its cancellation, so a product cut reads ~1e-32, not ~1e-16.
+    One stacked SVD per matricization shape for the Schmidt values s, and
+    one kernel call for the T spectra of the batch.  The Schmidt-path
+    negativity is the self sum ``bounds`` reads, 2 ``pair_sum(s)``.  The
+    density-path concurrence 4 sum_{i<j} lambda_i lambda_j, lambda = s^2,
+    equals 2(1 - Tr rho^2) at unit norm without its cancellation, so a
+    product cut reads ~1e-32, not ~1e-16.
     """
     pairs = list(pairs)
     # first: an unnormalized state raises the normalization error, before any SVD
-    lams = schmidt_spectra(pairs)
+    for state, _ in pairs:
+        require_normalized(state, "cut_measures")
+    svals = singular_values(pairs)
     sigmas = cross_sum_spectra((state, state, cut) for state, cut in pairs)
+    # s >= 0: only the upper end of [0, 1] can need clipping, and np.clip costs 5x more
+    lams = [np.minimum(s * s, 1.0) for s in svals]
     return [
         CutMeasures(
             negativity=float(sigma.sum()),
-            schmidt=float(np.sqrt(lam).sum() ** 2 - 1.0),
+            schmidt=2.0 * pair_sum(s),
             density=4.0 * float(np.triu(np.outer(lam, lam), 1).sum()),
             generator=float((sigma * sigma).sum()),
         )
-        for lam, sigma in zip(lams, sigmas)
+        for s, lam, sigma in zip(svals, lams, sigmas)
     ]
 
 

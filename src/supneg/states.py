@@ -267,19 +267,10 @@ def singular_values(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[np.n
     return values
 
 
-def schmidt_spectra(
-    pairs: Iterable[tuple[PureState, Bipartition]],
-) -> list[np.ndarray]:
-    """Squared Schmidt coefficients (eigenvalues of rho, descending, in [0, 1]):
-    the squared ``singular_values`` of every (normalized state, cut) pair, in
-    pair order.  Vanishing Schmidt coefficients come out at rounding level
-    (~1e-16), not as square roots of rounding-level eigenvalues of M M^dagger.
-    """
-    pairs = list(pairs)
-    for state, _ in pairs:
-        require_normalized(state, "schmidt_spectra")
-    # s >= 0: only the upper end of [0, 1] can need clipping, and np.clip costs 5x more
-    return [np.minimum(s * s, 1.0) for s in singular_values(pairs)]
+def pair_sum(x: np.ndarray) -> float:
+    """sum_{i<j} x_i x_j of a vector as sum_j x_j (x_0 + ... + x_{j-1}): for
+    x >= 0 no term is negative, unlike in ((sum x)^2 - sum x^2) / 2."""
+    return float((x[1:] * np.cumsum(x)[:-1]).sum())
 
 
 def state_from_dict(payload: dict) -> PureState:

@@ -19,6 +19,7 @@ the inputs of its worst sample.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -71,6 +72,12 @@ def _by_state(values: list) -> list[list]:
     return [values[k : k + 3] for k in range(0, len(values), 3)]
 
 
+def _max(*values: float) -> float:
+    """max(values), but nan when any value is nan: the built-in max drops a
+    nan unless it comes first."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _haar(samples: int, seed: int) -> list[Row]:
     states, inputs = _haar_samples(samples, seed)
     pairs = _cut_pairs(states)
@@ -81,9 +88,9 @@ def _haar(samples: int, seed: int) -> list[Row]:
         gaps = [abs(c.negativity - pt) for c, pt in zip(cuts, pts)]
         gaps += [abs(c.negativity - c.schmidt) for c in cuts]
         # the non-raising paths, so a broken convention is a measured violation
-        concurrence = max([0.0] + [abs(c.difference) for c in cuts])
-        gme = max(0.0, HAAR_GME_FLOOR - min(c.negativity for c in cuts))
-        rows.append(((max(gaps), concurrence, gme), replay))
+        concurrence = _max(0.0, *(abs(c.difference) for c in cuts))
+        gme = _max(0.0, *(HAAR_GME_FLOOR - c.negativity for c in cuts))  # floor - min(N)
+        rows.append(((_max(*gaps), concurrence, gme), replay))
     return rows
 
 
@@ -112,15 +119,15 @@ def _sandwiches(samples: int, seed: int) -> list[Row]:
                 "superposition has near-zero norm; normalized-state values are "
                 "undefined, checking bounds on the raw scaled values"
             )
-        v1 = max(r.t1_lower_raw - r.n_exact, r.n_exact - r.t1_upper)
-        v2 = max(r.t2_lower_raw - r.ngme_exact, r.ngme_exact - r.t2_upper)
+        v1 = _max(r.t1_lower_raw - r.n_exact, r.n_exact - r.t1_upper)
+        v2 = _max(r.t2_lower_raw - r.ngme_exact, r.ngme_exact - r.t2_upper)
         payload = {
             "a1": [spec.a1.real, spec.a1.imag],
             "a2": [spec.a2.real, spec.a2.imag],
             "psi1": spec.psi1.to_dict(),
             "psi2": spec.psi2.to_dict(),
         }
-        rows.append(((max(v1, 0.0), max(v2, 0.0)), {"sample": i, "spec": payload}))
+        rows.append(((_max(v1, 0.0), _max(v2, 0.0)), {"sample": i, "spec": payload}))
     return rows
 
 
@@ -136,7 +143,7 @@ def _lemma_violations(terms: np.ndarray) -> list[float]:
     for lo, hi, top, bottom in zip(terms.min(axis=2).tolist(), terms.max(axis=2).tolist(),
                                    summed.tolist(), signed.tolist()):
         upper, lower_raw = bounds.combine_bounds(lo, hi)
-        violations.append(max(0.0, top - upper, lower_raw - bottom))
+        violations.append(_max(0.0, top - upper, lower_raw - bottom))
     return violations
 
 
@@ -155,7 +162,7 @@ def _biseparable(samples: int, seed: int) -> list[Row]:
         dims = _sample_dims(i)
         cut = Bipartition.of(dims, i % 3)
         states.append(library.random_biseparable(cut, dims, seed ^ i))
-    negs = _by_state(measures.negativities_so(_cut_pairs(states)))
+    negs = _by_state(measures.cross_sums((s, s, cut) for s, cut in _cut_pairs(states)))
     return [
         ((min(cuts),), {"sample": i, "state": state.to_dict()})
         for i, (state, cuts) in enumerate(zip(states, negs))
@@ -174,7 +181,8 @@ def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckRes
     """Run every property check; returns (summary dict, individual results).
 
     A check's worst sample is its first (failing, if the check fails) within
-    WORST_SAMPLE_FLOOR of its largest violation: rounding cannot move it.
+    WORST_SAMPLE_FLOOR of its largest violation: rounding cannot move it.  A
+    nan violation fails its check, with the first nan sample as the worst.
     A tolerance that is not a finite number >= 0 raises ValueError."""
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verify tolerance must be finite and >= 0, got {tol!r}")
@@ -184,12 +192,11 @@ def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckRes
         for k, name in enumerate(check.names):
             limit = FIXED_TOLS.get(name, tol)
             column = [float(violations[k]) for violations, _ in rows]
-            top = max(column)
+            top = _max(*column)
             passed = top <= limit
             worst = next(
-                (i for i, v in enumerate(column)
-                 if v >= top - WORST_SAMPLE_FLOOR and (passed or v > limit)),
-                column.index(top),  # a nan maximum: no sample compares
+                i for i, v in enumerate(column)
+                if math.isnan(v) or v >= top - WORST_SAMPLE_FLOOR and (passed or v > limit)
             )
             inputs = None if passed else rows[worst][1]
             results.append(

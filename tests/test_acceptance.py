@@ -65,7 +65,7 @@ def test_criterion_01_dual_path_negativity():
     n_pt = oracle.negativities_pt_oracle(pairs)
     worst_pt = worst_schmidt = 0.0
     for (state, cut), pt in zip(pairs, n_pt):
-        n_so = measures.negativities_so([(state, cut)])[0]
+        n_so = measures.cross_sums([(state, state, cut)])[0]
         worst_pt = max(worst_pt, abs(n_so - pt))
         worst_schmidt = max(
             worst_schmidt, abs(n_so - measures.cut_measures([(state, cut)])[0].schmidt)

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import cross_term_table
+from reference import bilinear_matrix, cross_term_table
 from supneg import library, measures
 from supneg.bounds import (
+    REPORTED_GME_CONSTANTS,
+    REPORTED_TOTAL_CONSTANTS,
     SWEEP_COLUMNS,
     SuperpositionSpec,
     _self_sums,
@@ -154,7 +156,7 @@ def self_and_kernel(states):
     return pairs, _self_sums(pairs), kernel
 
 
-@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, None])
 def test_self_sums_within_roundoff_near_product(eps):
     # A near-product cut has one large singular value and small ones.  Over
     # 6,000 such cuts, on the singular values it is given, the nonnegative
@@ -162,15 +164,48 @@ def test_self_sums_within_roundoff_near_product(eps):
     # cancelling form (sum s)^2 - sum s^2 is off by up to 5.4 u (3.8 u on
     # these cuts).  End to end, LAPACK's singular values add error of their
     # own to both paths: up to 2.9 u (this path) and 2.7 u (the kernel) over
-    # the same cuts, hence the looser end-to-end bound.
-    states = [near_product([3, 3, 3], eps, 100 + k) for k in range(5)]
+    # the same cuts, hence the looser end-to-end bound.  The Schmidt path of
+    # measure must give the same bits.  eps None: GHZ (d = 2, 3) and W, whose
+    # singular values tie.
+    if eps is None:
+        states = [library.ghz(2), library.ghz(3), library.w_state()]
+    else:
+        states = [near_product([3, 3, 3], eps, 100 + k) for k in range(5)]
     pairs, fast, kernel = self_and_kernel(states)
-    for (state, cut), s, got, via_t in zip(pairs, singular_values(pairs), fast, kernel):
+    schmidt = [c.schmidt for c in measures.cut_measures(pairs)]
+    for (state, cut), s, got, via_t, path in zip(
+        pairs, singular_values(pairs), fast, kernel, schmidt
+    ):
+        assert path.hex() == got.hex()
         scale = U * state.norm_sq
         assert float(abs(mpmath.mpf(got) - mp_pair_sum(list(s)))) <= 2 * scale
         exact = mp_pair_sum(mp_singular_values(state, cut))
         assert float(abs(mpmath.mpf(got) - exact)) <= 4 * scale
         assert float(abs(mpmath.mpf(via_t) - exact)) <= 4 * scale
+
+
+def test_reported_constants_in_the_papers_convention(ghz, w):
+    # The reported constants are entry-wise sums of |B| over ordered generator
+    # pairs: 4x the sum over the unordered pairs of bilinear_matrix, since
+    # L_ji = -L_ij.  Per cut that gives W 16/3, GHZ 4 and the GHZ-W cross
+    # term 4 sqrt(2/3), which enters the bounds doubled.
+    def entrywise(psi, phi, cut):
+        return 4.0 * float(np.abs(bilinear_matrix(psi, phi, cut)).sum())
+
+    per_cut = [(entrywise(w, w, cut), 2.0 * entrywise(ghz, w, cut), entrywise(ghz, ghz, cut))
+               for cut in bipartitions(ghz)]
+    gme = [min(term) for term in zip(*per_cut)]
+    total = [2.0 * sum(term) for term in zip(*per_cut)]
+    np.testing.assert_allclose(gme, REPORTED_GME_CONSTANTS, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(total, REPORTED_TOTAL_CONSTANTS, rtol=0, atol=1e-12)
+    # in that form the reported GME upper-bound curve is the exact value of chi
+    c1, c2, c3 = REPORTED_GME_CONSTANTS
+    for phi in (0.0, 0.5):
+        for p in np.linspace(0.0, 1.0, 11):
+            chi = library.z_family(p, phi).superposed()
+            exact = min(entrywise(chi, chi, cut) for cut in bipartitions(chi))
+            curve = c1 * (1 - p) + c2 * np.sqrt(p * (1 - p)) + c3 * p
+            assert exact == pytest.approx(curve, rel=0, abs=1e-12), (phi, p)
 
 
 DIMS = ([2, 2, 2], [3, 3, 3], [2, 3, 4])

@@ -3,8 +3,10 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 import supneg
 import supneg.cli as cli
 import supneg.measures as measures
+import supneg.oracle as oracle
 import supneg.verify as verify
 from supneg import library
 from supneg.cli import (
@@ -619,6 +622,62 @@ def test_verify_haar_block_does_not_outlive_its_run(monkeypatch):
     assert summary["dual_path_negativity"]["pass"] is False
 
 
+def _shift_pt_oracle(monkeypatch, pair, shift):
+    """Add ``shift`` to the PT-oracle negativity of one (state, cut) pair."""
+    original = oracle.negativities_pt_oracle
+
+    def shifted(pairs):
+        negativities = original(pairs)
+        negativities[pair] += shift
+        return negativities
+
+    monkeypatch.setattr(oracle, "negativities_pt_oracle", shifted)
+
+
+def _failing_checks():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _, checks = run_verify(samples=4, seed=42, tol=1e-9)
+    return {c.name for c in checks if not c.passed}
+
+
+def test_verify_fails_a_nan_after_the_first_sample(monkeypatch):
+    # pair 5 is cut C|AB of sample 1: the built-in max skips a nan that is not first
+    _shift_pt_oracle(monkeypatch, 5, math.nan)
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        summary, checks = run_verify(samples=4, seed=42, tol=1e-9)
+    entry = summary["dual_path_negativity"]
+    assert entry["pass"] is False
+    assert math.isnan(entry["max_violation"]) and math.isnan(entry["margin"])
+    assert entry["worst_sample"] == 1
+    assert {c.name for c in checks if not c.passed} == {"dual_path_negativity"}
+
+
+def test_verify_cli_exits_1_on_a_nan_sample(capsys, tmp_path, monkeypatch):
+    _shift_pt_oracle(monkeypatch, 5, math.nan)
+    monkeypatch.chdir(tmp_path)  # where the replay file goes
+    code, out, _ = run_cli(capsys, "verify", "--samples", "4", "--seed", "42")
+    assert code == 1
+    assert json.loads(out)["dual_path_negativity"]["pass"] is False
+    replay = json.loads((tmp_path / "supneg_violation_dual_path_negativity.json").read_text())
+    assert replay["inputs"]["sample"] == 1
+    assert math.isnan(replay["max_violation"])
+    assert [p.name for p in tmp_path.iterdir()] == ["supneg_violation_dual_path_negativity.json"]
+
+
+def test_verify_flags_an_oracle_fault_alone(monkeypatch):
+    # the Schmidt comparison and the other checks do not see the oracle
+    _shift_pt_oracle(monkeypatch, 5, 1e-6)
+    assert _failing_checks() == {"dual_path_negativity"}
+
+
+def test_verify_flags_a_schmidt_fault_alone(monkeypatch):
+    # measures' binding only: the bounds' self sums keep the true pair sum
+    original = measures.pair_sum
+    monkeypatch.setattr(measures, "pair_sum", lambda x: (1 + 1e-6) * original(x))
+    assert _failing_checks() == {"dual_path_negativity"}
+
+
 def test_verify_rejects_zero_samples(capsys):
     assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
 
@@ -704,6 +763,53 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["n_gme"] == pytest.approx(1.0, abs=1e-10)
 
 
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+INSTALLED_STEP = "- name: Installed package runs without the checkout"
+
+
+def _installed_step_commands():
+    """[argv, expected exit code] of every ``supneg`` line in the workflow's
+    installed-package step, read as text: an ``rc=0; supneg ... || rc=$?``
+    line expects the code of the ``test "$rc" -eq N`` line after it."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = next(k for k, line in enumerate(lines) if line.strip() == INSTALLED_STEP) + 1
+    assert lines[start].strip() == "run: |"
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    block = []
+    for line in lines[start + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line.strip())
+    commands = []
+    for line in block:
+        if line.startswith("supneg "):
+            commands.append([shlex.split(line)[1:], 0])
+        elif line.startswith("rc=0; supneg ") and line.endswith(" || rc=$?"):
+            commands.append([shlex.split(line[len("rc=0; ") : -len(" || rc=$?")])[1:], None])
+        elif line.startswith('test "$rc" -eq '):
+            assert commands[-1][1] is None, line
+            commands[-1][1] = int(line.rsplit(" ", 1)[1])
+    assert len(commands) == sum("supneg " in line for line in block)  # none unread
+    return commands
+
+
+def test_ci_installed_package_commands_exit_as_the_workflow_expects(capsys, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _installed_step_commands()
+    assert len(commands) >= 8
+    for argv, expected in commands:
+        assert expected is not None, argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: say, a renamed option
+                pytest.fail(f"usage error (exit {exc.code}) on {argv}")
+        capsys.readouterr()
+        assert code == expected, argv
+
+
 # ------------------------------------------------------------------ Python API
 
 PUBLIC_API = [
@@ -711,9 +817,9 @@ PUBLIC_API = [
     "SuperpositionSpec", "bipartitions", "cross_sums", "density_matrix",
     "evaluate_bounds", "evaluate_bounds_batch", "fit_gme_closed_form", "ghz",
     "haar_random", "hermitian_eigenvalues", "load_state", "matricize",
-    "measure_report", "negativities_pt_oracle", "negativities_so", "new_state",
-    "normalize", "partial_transpose", "random_biseparable",
-    "random_superposition_spec", "w_state", "z_family", "z_family_sweep",
+    "measure_report", "negativities_pt_oracle", "new_state", "normalize",
+    "partial_transpose", "random_biseparable", "random_superposition_spec",
+    "w_state", "z_family", "z_family_sweep",
 ]
 # single-item wrappers of a batch entry, test references (tests/reference.py),
 # and names that only tests reached
@@ -726,7 +832,7 @@ REMOVED_NAMES = [
     "negativity_so", "negativity_schmidt", "multipartite_negativity", "gme_negativity",
     "gme_concurrence", "SchmidtSpectrum", "conjugate", "save_state", "ZFamilyParams",
     "min_combine_upper", "min_combine_lower", "min_combine_slack", "superpose",
-    "reduced_density",
+    "reduced_density", "schmidt_spectra", "negativities_so",
 ]
 
 

@@ -7,7 +7,7 @@ from supneg.states import (
     Bipartition,
     bipartitions,
     matricize,
-    schmidt_spectra,
+    singular_values,
 )
 
 # Calibration constant measured once from this module's own sampler
@@ -25,7 +25,7 @@ def test_ghz_qubits_amplitudes(ghz):
 def test_ghz_qutrits_schmidt_flat():
     g3 = library.ghz(3)
     for cut in bipartitions(g3):
-        lam = schmidt_spectra([(g3, cut)])[0]
+        lam = singular_values([(g3, cut)])[0] ** 2
         np.testing.assert_allclose(lam, [1 / 3] * 3, atol=1e-12)
 
 
@@ -129,8 +129,8 @@ def test_random_biseparable_product_across_cut(kept):
     cut = Bipartition.of(dims, kept)
     s = library.random_biseparable(cut, dims, seed=kept + 10)
     assert s.norm_sq == pytest.approx(1.0, abs=1e-12)
-    assert measures.negativities_so([(s, cut)])[0] <= 1e-10
-    assert np.count_nonzero(schmidt_spectra([(s, cut)])[0] > 1e-12) == 1
+    assert measures.cross_sums([(s, s, cut)])[0] <= 1e-10
+    assert np.count_nonzero(singular_values([(s, cut)])[0] ** 2 > 1e-12) == 1
 
 
 def test_random_biseparable_other_cuts_generically_entangled():
@@ -140,7 +140,7 @@ def test_random_biseparable_other_cuts_generically_entangled():
     for seed in range(100):
         s = library.random_biseparable(cut, dims, seed)
         others = [c for c in bipartitions(s) if c.kept != cut.kept]
-        worst = min(worst, min(measures.negativities_so([(s, c)])[0] for c in others))
+        worst = min(worst, min(measures.cross_sums([(s, s, c)])[0] for c in others))
     assert worst > 1e-6
 
 

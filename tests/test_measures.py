@@ -18,7 +18,7 @@ from reference import (
     haar_unitary,
 )
 from supneg import bounds, library, oracle, verify
-from supneg.measures import cross_sums, cut_measures, measure_report, negativities_so
+from supneg.measures import cross_sums, cut_measures, measure_report
 from supneg.states import (
     Bipartition,
     PureState,
@@ -27,7 +27,7 @@ from supneg.states import (
     matricize,
     new_state,
     normalize,
-    schmidt_spectra,
+    singular_values,
 )
 
 S2 = 1 / np.sqrt(2)
@@ -248,8 +248,8 @@ def test_kernel_property_bits_alone_and_dense_agreement(triples, random):
 
 def test_negativity_golden_values(ghz, w):
     for cut in bipartitions(ghz):
-        assert negativities_so([(ghz, cut)])[0] == pytest.approx(1.0, abs=1e-12)
-        assert negativities_so([(w, cut)])[0] == pytest.approx(
+        assert cross_sums([(ghz, ghz, cut)])[0] == pytest.approx(1.0, abs=1e-12)
+        assert cross_sums([(w, w, cut)])[0] == pytest.approx(
             2 * np.sqrt(2) / 3, abs=1e-12
         )
 
@@ -257,8 +257,8 @@ def test_negativity_golden_values(ghz, w):
 def test_negativity_zero_bell():
     s = zero_bell()
     cuts = bipartitions(s)
-    assert negativities_so([(s, cuts[0])])[0] == pytest.approx(0.0, abs=1e-12)
-    assert negativities_so([(s, cuts[1])])[0] == pytest.approx(1.0, abs=1e-12)
+    assert cross_sums([(s, s, cuts[0])])[0] == pytest.approx(0.0, abs=1e-12)
+    assert cross_sums([(s, s, cuts[1])])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_negativity_schmidt_values(ghz):
@@ -280,14 +280,14 @@ def test_negativity_requires_normalized(ghz):
 
     doubled = PureState(ghz.dims, 2 * ghz.amplitudes)
     with pytest.raises(ValueError, match="normalized"):
-        negativities_so([(doubled, Bipartition.of(ghz.dims, 0))])[0]
+        cut_measures([(doubled, Bipartition.of(ghz.dims, 0))])[0]
 
 
 def _assert_dual_path(states):
     """SO and Schmidt paths match the PT oracle, solved as one batch, on every cut."""
     pairs = [(s, cut) for s in states for cut in bipartitions(s)]
     for (s, cut), n_pt in zip(pairs, oracle.negativities_pt_oracle(pairs)):
-        n_so = negativities_so([(s, cut)])[0]
+        n_so = cross_sums([(s, s, cut)])[0]
         assert n_so == pytest.approx(n_pt, abs=1e-9)
         assert n_so == pytest.approx(cut_measures([(s, cut)])[0].schmidt, abs=1e-9)
 
@@ -391,8 +391,8 @@ def test_composite_ordering_invariance():
     swapped = new_state(
         (s.dims[0], s.dims[2], s.dims[1]), np.transpose(s.tensor(), (0, 2, 1)).reshape(-1)
     )
-    assert negativities_so([(s, Bipartition.of(s.dims, 0))])[0] == pytest.approx(
-        negativities_so([(swapped, Bipartition.of(swapped.dims, 0))])[0], abs=1e-12
+    assert cross_sums([(s, s, Bipartition.of(s.dims, 0))])[0] == pytest.approx(
+        cross_sums([(swapped, swapped, Bipartition.of(swapped.dims, 0))])[0], abs=1e-12
     )
 
 
@@ -427,7 +427,7 @@ def test_concurrence_detects_convention_bug(monkeypatch, ghz):
     with pytest.raises(ValueError, match="convention"):
         measure_report(ghz)
     # and the negativity path drops to half the oracle value
-    assert negativities_so([(ghz, cut)])[0] == pytest.approx(
+    assert cross_sums([(ghz, ghz, cut)])[0] == pytest.approx(
         oracle.negativities_pt_oracle([(ghz, cut)])[0] / 2, abs=1e-9
     )
 
@@ -448,7 +448,7 @@ def test_gme_concurrence_values(ghz, w):
 
 def separable_cuts(s):
     """Per-cut product flags, A|BC first: a negativity at most 1e-9."""
-    negs = negativities_so((s, cut) for cut in bipartitions(s))
+    negs = cross_sums((s, s, cut) for cut in bipartitions(s))
     return tuple(n <= 1e-9 for n in negs)
 
 
@@ -475,7 +475,7 @@ def test_biseparable_flags_match_schmidt_rank():
         cut0 = bipartitions(library.ghz(2))[seed % 3]
         s = library.random_biseparable(cut0, [2, 2, 2], seed)
         for cut, flag in zip(bipartitions(s), separable_cuts(s)):
-            lam = schmidt_spectra([(s, cut)])[0]
+            lam = singular_values([(s, cut)])[0] ** 2
             assert flag == (np.count_nonzero(lam > 1e-12) == 1)
 
 
@@ -561,7 +561,7 @@ def test_cut_measures_bits_do_not_depend_on_the_batch():
     for (s, cut), together in zip(pairs, batch):
         alone = measures.cut_measures([(s, cut)])[0]
         assert [float(v).hex() for v in alone] == [float(v).hex() for v in together]
-        assert alone.negativity.hex() == negativities_so([(s, cut)])[0].hex()
+        assert alone.negativity.hex() == cross_sums([(s, s, cut)])[0].hex()
     # measure_report reads the same per-cut values, whatever its batch
     for s, cuts in zip(states, (batch[k : k + 3] for k in range(0, len(batch), 3))):
         report = measure_report(s)
@@ -610,13 +610,13 @@ def test_verify_is_one_kernel_call_per_check(monkeypatch):
 def test_verify_run_shares_one_haar_block(monkeypatch):
     draws = _count_calls(monkeypatch, verify._haar_samples)
     kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
-    schmidt_calls = _count_calls(monkeypatch, states.schmidt_spectra)
+    cut_measures_calls = _count_calls(monkeypatch, measures.cut_measures)
     jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
     with pytest.warns(UserWarning, match="near-zero norm"):
         verify.run_verify(samples=8, seed=42, tol=1e-9)
     assert len(draws) == 1  # 8 Haar states for three checks, not 24
     assert len(kernel_calls) == 3  # the Haar block, the sandwiches, biseparability
-    assert len(schmidt_calls) == 1  # one stacked call, in the Haar block
+    assert len(cut_measures_calls) == 1  # one batch, in the Haar block
     assert len(jacobi_calls) <= 2
 
 

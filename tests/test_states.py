@@ -20,7 +20,7 @@ from supneg.states import (
     matricize,
     new_state,
     normalize,
-    schmidt_spectra,
+    singular_values,
     state_from_dict,
 )
 
@@ -338,17 +338,17 @@ def test_reduced_density_is_valid_density_matrix(seed):
 
 
 def test_schmidt_ghz(ghz):
-    lam = schmidt_spectra([(ghz, Bipartition.of(ghz.dims, 0))])[0]
+    lam = singular_values([(ghz, Bipartition.of(ghz.dims, 0))])[0] ** 2
     np.testing.assert_allclose(lam, [0.5, 0.5], atol=1e-12)
 
 
 def test_schmidt_w(w):
-    lam = schmidt_spectra([(w, Bipartition.of(w.dims, 0))])[0]
+    lam = singular_values([(w, Bipartition.of(w.dims, 0))])[0] ** 2
     np.testing.assert_allclose(lam, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_schmidt_product():
-    lam = schmidt_spectra([(basis_state(0), Bipartition.of((2, 2, 2), 0))])[0]
+    lam = singular_values([(basis_state(0), Bipartition.of((2, 2, 2), 0))])[0] ** 2
     np.testing.assert_allclose(lam, [1.0, 0.0], atol=1e-12)
     assert np.count_nonzero(lam > 1e-12) == 1
 
@@ -358,7 +358,7 @@ def test_schmidt_product():
 def test_schmidt_spectrum_properties(seed):
     s = library.haar_random([3, 3, 3], seed)
     for cut in bipartitions(s):
-        lam = schmidt_spectra([(s, cut)])[0]
+        lam = singular_values([(s, cut)])[0] ** 2
         assert np.all(lam[:-1] >= lam[1:])  # descending
         assert np.all(lam >= 0.0) and np.all(lam <= 1.0)
         assert lam.sum() == pytest.approx(1.0, abs=1e-10)
