@@ -12,7 +12,6 @@ from .bounds import (
     evaluate_bounds,
     evaluate_bounds_batch,
     fit_gme_closed_form,
-    z_family_sweep,
 )
 from .library import (
     ghz,

@@ -20,16 +20,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import library
 from .measures import cross_sums
 from .states import (Bipartition, PureState, SuperpositionSpec, bipartitions, pair_sum,
                      singular_values)
 
-# Reported closed-form constants for the GHZ/W-superposition family, kept for
-# the comparison emitted by sweeps.  They come out exactly with ordered
-# generator pairs (4x every sum here) and the entry-wise sum of |B| instead
-# of the trace norm.  That sum is at least the trace norm, so upper
-# bounds in that form still bound 4x the negativity; lower bounds do not.
+# Reported closed-form constants of the t1 and t2 upper-bound curves of the
+# GHZ/W-superposition family, which the sweep sidecar divides by its fits.
+# They come out exactly with ordered generator pairs (4x every sum here) and
+# the entry-wise sum of |B| instead of the trace norm.  That sum is at least
+# the trace norm, so upper bounds in that form still bound 4x the negativity;
+# lower bounds do not.
 REPORTED_TOTAL_CONSTANTS = (32.0, 16.0 * np.sqrt(6.0), 24.0)
 REPORTED_GME_CONSTANTS = (16.0 / 3.0, (8.0 / 3.0) * np.sqrt(6.0), 4.0)
 
@@ -175,34 +175,6 @@ def evaluate_bounds(spec: SuperpositionSpec) -> BoundsReport:
     return evaluate_bounds_batch([spec])[0]
 
 
-def z_family_sweep(p_grid: Sequence[float], phi: float = 0.0) -> list[BoundsReport]:
-    """Evaluate the GHZ/W superposition family on a grid of mixing weights."""
-    return evaluate_bounds_batch([library.z_family(float(p), phi) for p in p_grid])
-
-
-SWEEP_COLUMNS = (
-    "p",
-    "phi",
-    "norm_sq",
-    "n_exact",
-    "t1_upper",
-    "t1_lower",
-    "ngme_exact",
-    "t2_upper",
-    "t2_lower",
-    "t2_gap",
-)
-
-
-def sweep_csv(p_grid: Sequence[float], phi: float, reports: Sequence[BoundsReport]) -> str:
-    """CSV text for a sweep, one row per grid point, full float precision."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for p, r in zip(p_grid, reports):
-        row = [float(p), float(phi)] + [getattr(r, name) for name in SWEEP_COLUMNS[2:]]
-        lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 class GmeCurveFit(NamedTuple):
     c1: float
     c2: float
@@ -214,10 +186,9 @@ def fit_gme_closed_form(p_grid: Sequence[float], values: Sequence[float]) -> Gme
     """Least-squares fit of c1*(1-p) + c2*sqrt(p(1-p)) + c3*p to a curve.
 
     On the GHZ/W family this form is exact for the upper-bound curves
-    ``t1_upper`` and ``t2_upper`` (residual below 1e-14). It only
-    approximates the exact curves ``n_exact`` and ``ngme_exact`` (residuals
-    7.5e-2 and 1.2e-2); ``ngme_exact`` is sqrt(5p^2 - 4p + 8)/3, which is not
-    in the span.
+    ``t1_upper`` and ``t2_upper`` (residual below 1e-14), the curves the
+    reported constants describe.  The exact curves are not in its span:
+    ``ngme_exact`` is sqrt(5p^2 - 4p + 8)/3, so fit only the upper bounds.
     """
     p = np.asarray(p_grid, dtype=float)
     y = np.asarray(values, dtype=float)

@@ -123,11 +123,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(payload: dict) -> str:
-    keys = [k for k, v in payload.items() if not isinstance(v, (dict, list))]
-    header = ",".join(keys)
-    row = ",".join(repr(payload[k]) for k in keys)
-    return f"{header}\n{row}\n"
+def _csv_text(rows: Sequence[dict], keys: Sequence[str] | None = None) -> str:
+    """A header of ``keys`` and one line of full-precision values per row; by
+    default the keys of the first row whose values are not dicts or lists."""
+    if keys is None:
+        keys = [k for k, v in rows[0].items() if not isinstance(v, (dict, list))]
+    lines = [",".join(keys)] + [",".join(repr(row[k]) for k in keys) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- commands
@@ -139,7 +141,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     else:
         state = resolve_state_source(args.file)
     report = measures.measure_report(state).to_dict()
-    text = _csv_text(report) if args.format == "csv" else _json_text(report)
+    text = _csv_text([report]) if args.format == "csv" else _json_text(report)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -173,7 +175,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     payload["a2"] = [a2.real, a2.imag]
     if args.dump_terms:
         payload["cross_terms"] = report.terms.to_dict()
-    text = _csv_text(payload) if args.format == "csv" else _json_text(payload)
+    text = _csv_text([payload]) if args.format == "csv" else _json_text(payload)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -192,33 +194,32 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _fit_block(fit: "bounds_mod.GmeCurveFit", reported: tuple) -> dict:
-    named = dict(zip(("c1", "c2", "c3"), reported))
-    return {
-        "fitted": fit._asdict(),
-        "reported": named,
-        "ratio_reported_over_fitted": {k: v / getattr(fit, k) for k, v in named.items()},
-    }
+SWEEP_COLUMNS = ("p", "phi", "norm_sq", "n_exact", "t1_upper", "t1_lower", "ngme_exact",
+                 "t2_upper", "t2_lower", "t2_gap")
 
 
-def sweep_sidecar(p_grid: Sequence[float], phi: float, reports) -> dict:
-    """Closed-form fits of both exact curves, next to the reported constants.
-
-    On the GHZ/W family the closed form is exact only for the upper-bound
-    curves (residual below 1e-14); fitted to the exact curves, as here, it is
-    an approximation (residual 7.5e-2 for ``n_exact``, 1.2e-2 for
-    ``ngme_exact``).
-    """
-    fit_gme = bounds_mod.fit_gme_closed_form(p_grid, [r.ngme_exact for r in reports])
-    fit_total = bounds_mod.fit_gme_closed_form(p_grid, [r.n_exact for r in reports])
+def sweep_sidecar(p_grid: np.ndarray, phi: float, reports) -> dict:
+    """The closed form fitted to the t1 and t2 upper-bound curves, which it
+    spans exactly, with the reported constants over 4 (ordered generator
+    pairs) over each fit: (sqrt 2, sqrt 2, 1), the sqrt 2 being W's entry-wise
+    sum of |B| over its trace norm.  The exact GME curve, not in that span, is
+    checked against sqrt(5p^2 - 4p + 8)/3 instead."""
+    curves = {}
+    for name, reported in (("t1_upper", bounds_mod.REPORTED_TOTAL_CONSTANTS),
+                           ("t2_upper", bounds_mod.REPORTED_GME_CONSTANTS)):
+        fit = bounds_mod.fit_gme_closed_form(p_grid, [getattr(r, name) for r in reports])
+        curves[name] = {
+            "fit": fit._asdict(),
+            "reported_over_4_over_fit": [c / 4.0 / f for c, f in zip(reported, fit[:3])],
+        }
+    exact = np.array([r.ngme_exact for r in reports])
     return {
         "grid": {"phi": float(phi), "points": [float(p) for p in p_grid]},
-        "fit_ngme": fit_gme._asdict(),
         "max_t2_gap": max(r.t2_gap for r in reports),
-        "reported_constants_comparison": {
-            "ngme": _fit_block(fit_gme, bounds_mod.REPORTED_GME_CONSTANTS),
-            "n_total": _fit_block(fit_total, bounds_mod.REPORTED_TOTAL_CONSTANTS),
-        },
+        "ngme_exact_max_deviation": float(
+            np.abs(exact - np.sqrt(5.0 * p_grid**2 - 4.0 * p_grid + 8.0) / 3.0).max()
+        ),
+        **curves,
     }
 
 
@@ -229,12 +230,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sidecar_path = args.sidecar or (None if args.out is None else f"{args.out}.fit.json")
     if sidecar_path and p_grid.size < 3:  # before anything is written
         raise CliError("the sidecar's closed-form fit needs a grid of at least 3 steps")
-    phi = float(args.phi)
-    reports = bounds_mod.z_family_sweep(p_grid, phi)
-    _emit(bounds_mod.sweep_csv(p_grid, phi, reports), args.out)
+    specs = [library.z_family(float(p), args.phi) for p in p_grid]
+    reports = bounds_mod.evaluate_bounds_batch(specs)
+    rows = [{"p": float(p), "phi": args.phi, **r.to_dict()} for p, r in zip(p_grid, reports)]
+    _emit(_csv_text(rows, SWEEP_COLUMNS), args.out)
     if sidecar_path:
         Path(sidecar_path).write_text(
-            _json_text(sweep_sidecar(p_grid, phi, reports)), encoding="utf-8"
+            _json_text(sweep_sidecar(p_grid, args.phi, reports)), encoding="utf-8"
         )
     return EXIT_OK
 

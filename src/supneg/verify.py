@@ -78,6 +78,11 @@ def _max(*values: float) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
+def _min(*values: float) -> float:
+    """min(values), but nan when any value is nan, as ``_max``."""
+    return math.nan if any(map(math.isnan, values)) else min(values)
+
+
 def _haar(samples: int, seed: int) -> list[Row]:
     states, inputs = _haar_samples(samples, seed)
     pairs = _cut_pairs(states)
@@ -164,7 +169,7 @@ def _biseparable(samples: int, seed: int) -> list[Row]:
         states.append(library.random_biseparable(cut, dims, seed ^ i))
     negs = _by_state(measures.cross_sums((s, s, cut) for s, cut in _cut_pairs(states)))
     return [
-        ((min(cuts),), {"sample": i, "state": state.to_dict()})
+        ((_min(*cuts),), {"sample": i, "state": state.to_dict()})
         for i, (state, cuts) in enumerate(zip(states, negs))
     ]
 

@@ -9,15 +9,12 @@ from supneg import library, measures
 from supneg.bounds import (
     REPORTED_GME_CONSTANTS,
     REPORTED_TOTAL_CONSTANTS,
-    SWEEP_COLUMNS,
     SuperpositionSpec,
     _self_sums,
     combine_bounds,
     evaluate_bounds,
     evaluate_bounds_batch,
     fit_gme_closed_form,
-    sweep_csv,
-    z_family_sweep,
 )
 from supneg.states import (
     Bipartition,
@@ -439,7 +436,7 @@ def test_min_combine_rejects_nonpositive():
 
 
 def test_z_sweep_endpoints_match_pure_states():
-    reports = z_family_sweep([0.0, 1.0])
+    reports = evaluate_bounds_batch([library.z_family(p) for p in (0.0, 1.0)])
     w, g = library.w_state(), library.ghz(2)
     assert reports[0].n_exact == pytest.approx(
         measures.measure_report(w).n_multi, abs=1e-10
@@ -452,30 +449,12 @@ def test_z_sweep_endpoints_match_pure_states():
 
 
 def test_z_sweep_frozen_midpoint_golden():
-    (report,) = z_family_sweep([0.5])
+    report = evaluate_bounds(library.z_family(0.5))
     assert report.norm_sq == pytest.approx(1.0, abs=1e-12)
     assert report.ngme_exact == pytest.approx(Z_HALF_NGME, abs=1e-9)
     assert report.n_exact == pytest.approx(Z_HALF_NMULTI, abs=1e-9)
     assert report.t1_upper == pytest.approx(Z_HALF_T1_UPPER, abs=1e-9)
     assert report.t2_upper == pytest.approx(Z_HALF_T2_UPPER, abs=1e-9)
-
-
-def test_z_sweep_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        z_family_sweep([0.0, 1.2])
-
-
-def test_sweep_csv_format():
-    grid = np.linspace(0.0, 1.0, 11)
-    reports = z_family_sweep(grid)
-    text = sweep_csv(grid, 0.0, reports)
-    lines = text.strip().split("\n")
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
-    assert len(lines) == 12  # header + 11 rows
-    # values round-trip at full precision
-    first = dict(zip(SWEEP_COLUMNS, map(float, lines[1].split(","))))
-    assert first["ngme_exact"] == reports[0].ngme_exact
-    assert first["t2_gap"] == reports[0].t2_gap
 
 
 # --------------------------------------------------------------------- fit

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supneg
+import supneg.bounds as bounds
 import supneg.cli as cli
 import supneg.measures as measures
 import supneg.oracle as oracle
@@ -32,7 +34,7 @@ from supneg.cli import (
     parse_named_state,
     run_verify,
 )
-from supneg.states import new_state, normalize
+from supneg.states import Bipartition, new_state, normalize
 
 S2 = 1 / np.sqrt(2)
 
@@ -453,8 +455,39 @@ def test_sweep_row_count_and_gap(capsys, tmp_path):
     gap_idx = header.index("t2_gap")
     assert all(float(line.split(",")[gap_idx]) >= -1e-9 for line in lines[1:])
     sidecar = json.loads((tmp_path / "sweep.csv.fit.json").read_text())
-    assert set(sidecar["fit_ngme"]) == {"c1", "c2", "c3", "max_residual"}
-    assert "reported_constants_comparison" in sidecar
+    assert set(sidecar) == {"grid", "max_t2_gap", "ngme_exact_max_deviation",
+                            "t1_upper", "t2_upper"}
+    for curve in ("t1_upper", "t2_upper"):
+        assert set(sidecar[curve]) == {"fit", "reported_over_4_over_fit"}
+        assert set(sidecar[curve]["fit"]) == {"c1", "c2", "c3", "max_residual"}
+
+
+def test_sweep_csv_format(capsys):
+    code, text, _ = run_cli(capsys, "sweep", "--grid", "0,1,11")
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+    assert len(lines) == 12  # header + 11 rows
+    # values round-trip at full precision
+    report = supneg.evaluate_bounds(library.z_family(0.0))
+    first = dict(zip(cli.SWEEP_COLUMNS, map(float, lines[1].split(","))))
+    assert first["ngme_exact"] == report.ngme_exact
+    assert first["t2_gap"] == report.t2_gap
+
+
+@pytest.mark.parametrize("phi", ["0", "0.3"])
+def test_sweep_sidecar_reads_the_reported_constants(capsys, tmp_path, phi):
+    # the constants over 4 (ordered generator pairs) over each upper-bound fit:
+    # sqrt 2, W's entry-wise sum of |B| over its trace norm, sqrt 2 and 1
+    fit_path = tmp_path / "fit.json"
+    assert run_cli(capsys, "sweep", "--phi", phi, "--sidecar", str(fit_path))[0] == 0
+    sidecar = json.loads(fit_path.read_text())
+    assert sidecar["grid"]["phi"] == float(phi)
+    for curve in ("t1_upper", "t2_upper"):
+        ratios = sidecar[curve]["reported_over_4_over_fit"]
+        np.testing.assert_allclose(ratios, [math.sqrt(2), math.sqrt(2), 1.0], rtol=0, atol=1e-12)
+        assert sidecar[curve]["fit"]["max_residual"] <= 1e-12
+    assert sidecar["ngme_exact_max_deviation"] <= 1e-12
 
 
 def test_sweep_endpoints_match_measure(capsys):
@@ -678,6 +711,66 @@ def test_verify_flags_a_schmidt_fault_alone(monkeypatch):
     assert _failing_checks() == {"dual_path_negativity"}
 
 
+def _wrap(monkeypatch, module, name, transform):
+    """Rebind ``module.name`` to ``transform`` of its result."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: transform(original(*args)))
+
+
+def test_verify_fails_a_nan_biseparable_cut_after_the_first(monkeypatch):
+    # pair 1 is cut B|AC of sample 0: the built-in min skips a nan that is not first
+    _wrap(monkeypatch, measures, "cross_sums", lambda sums: sums[:1] + [math.nan] + sums[2:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        summary, checks = run_verify(samples=4, seed=42, tol=1e-9)
+    entry = summary["biseparable_gme_zero"]
+    assert entry["pass"] is False
+    assert math.isnan(entry["max_violation"]) and entry["worst_sample"] == 0
+    assert {c.name for c in checks if not c.passed} == {"biseparable_gme_zero"}
+
+
+def _biseparable_haar_samples(out):
+    states, inputs = out
+    cuts = [Bipartition.of(list(s.dims), 0) for s in states]
+    return [library.random_biseparable(c, list(s.dims), 1) for c, s in zip(cuts, states)], inputs
+
+
+def _swap_lo_hi(monkeypatch):
+    original = bounds.combine_bounds
+    monkeypatch.setattr(bounds, "combine_bounds", lambda lo, hi: original(hi, lo))
+
+
+VERIFY_FAULTS = {  # check name -> (fault, every check name it fails)
+    "concurrence_identity": (
+        lambda mp: _wrap(mp, measures, "cut_measures",
+                         lambda cuts: [c._replace(generator=c.generator + 1e-6) for c in cuts]),
+        {"concurrence_identity"}),
+    "haar_gme_positive": (
+        lambda mp: _wrap(mp, verify, "_haar_samples", _biseparable_haar_samples),
+        {"haar_gme_positive"}),
+    "t1_sandwich": (  # an upper bound below the exact value
+        lambda mp: _wrap(mp, bounds, "evaluate_bounds_batch", lambda reports: [
+            dataclasses.replace(r, t1_upper=r.n_exact - 1e-6) for r in reports]),
+        {"t1_sandwich"}),
+    "t2_sandwich": (  # a lower bound above the exact value
+        lambda mp: _wrap(mp, bounds, "evaluate_bounds_batch", lambda reports: [
+            dataclasses.replace(r, t2_lower_raw=r.ngme_exact + 1e-6) for r in reports]),
+        {"t2_sandwich"}),
+    "min_combine_lemma": (_swap_lo_hi, {"min_combine_lemma", "t2_sandwich"}),
+    "biseparable_gme_zero": (
+        lambda mp: _wrap(mp, measures, "cross_sums", lambda sums: [v + 1e-6 for v in sums]),
+        {"biseparable_gme_zero"}),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_FAULTS)
+def test_verify_flags_a_fault_in_each_check(monkeypatch, name):
+    fault, failing = VERIFY_FAULTS[name]
+    fault(monkeypatch)
+    assert name in failing
+    assert _failing_checks() == failing
+
+
 def test_verify_rejects_zero_samples(capsys):
     assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
 
@@ -819,10 +912,10 @@ PUBLIC_API = [
     "haar_random", "hermitian_eigenvalues", "load_state", "matricize",
     "measure_report", "negativities_pt_oracle", "new_state", "normalize",
     "partial_transpose", "random_biseparable", "random_superposition_spec",
-    "w_state", "z_family", "z_family_sweep",
+    "w_state", "z_family",
 ]
 # single-item wrappers of a batch entry, test references (tests/reference.py),
-# and names that only tests reached
+# names that only tests reached, and the sweep's output helpers (now in cli)
 REMOVED_NAMES = [
     "cross_sum", "concurrence_sq", "multipartite_concurrence_sq", "is_biseparable",
     "BiseparabilityReport", "BISEPARABLE_TOL", "cross_terms", "total_negativity_bounds",
@@ -832,7 +925,7 @@ REMOVED_NAMES = [
     "negativity_so", "negativity_schmidt", "multipartite_negativity", "gme_negativity",
     "gme_concurrence", "SchmidtSpectrum", "conjugate", "save_state", "ZFamilyParams",
     "min_combine_upper", "min_combine_lower", "min_combine_slack", "superpose",
-    "reduced_density", "schmidt_spectra", "negativities_so",
+    "reduced_density", "schmidt_spectra", "negativities_so", "z_family_sweep", "sweep_csv",
 ]
 
 

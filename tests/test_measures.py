@@ -651,7 +651,7 @@ def test_bounds_are_one_kernel_call(monkeypatch):
     bounds.evaluate_bounds(library.random_superposition_spec([3, 3, 3], 4))
     assert len(kernel_calls) == 1
     del kernel_calls[:], t_builds[:]
-    bounds.z_family_sweep(np.linspace(0.0, 1.0, 21))
+    bounds.evaluate_bounds_batch([library.z_family(p) for p in np.linspace(0.0, 1.0, 21)])
     assert len(kernel_calls) == 1
     # same-state and distinct-pair stacks of d = 2: two builds, not 21 x 12
     assert len(t_builds) <= 2
