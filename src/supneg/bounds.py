@@ -189,11 +189,13 @@ def fit_gme_closed_form(p_grid: Sequence[float], values: Sequence[float]) -> Gme
     ``t1_upper`` and ``t2_upper`` (residual below 1e-14), the curves the
     reported constants describe.  The exact curves are not in its span:
     ``ngme_exact`` is sqrt(5p^2 - 4p + 8)/3, so fit only the upper bounds.
+    Three points fix the three coefficients and leave no residual whatever
+    the curve, so the fit takes at least four.
     """
     p = np.asarray(p_grid, dtype=float)
     y = np.asarray(values, dtype=float)
-    if p.size != y.size or p.size < 3:
-        raise ValueError("need matching grids with at least 3 points")
+    if p.size != y.size or p.size < 4:
+        raise ValueError("need matching grids with at least 4 points")
     design = np.stack([1.0 - p, np.sqrt(p * (1.0 - p)), p], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     residual = float(np.abs(design @ coef - y).max())

@@ -228,8 +228,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if p_grid.min() < 0.0 or p_grid.max() > 1.0:
         raise CliError("sweep grid must stay inside [0, 1]")
     sidecar_path = args.sidecar or (None if args.out is None else f"{args.out}.fit.json")
-    if sidecar_path and p_grid.size < 3:  # before anything is written
-        raise CliError("the sidecar's closed-form fit needs a grid of at least 3 steps")
+    if sidecar_path and p_grid.size < 4:  # before anything is written
+        raise CliError("the sidecar's closed-form fit needs a grid of at least 4 steps")
     specs = [library.z_family(float(p), args.phi) for p in p_grid]
     reports = bounds_mod.evaluate_bounds_batch(specs)
     rows = [{"p": float(p), "phi": args.phi, **r.to_dict()} for p, r in zip(p_grid, reports)]

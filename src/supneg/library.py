@@ -51,6 +51,8 @@ def z_family(p: float, phi: float = 0.0) -> SuperpositionSpec:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    if not math.isfinite(phi):  # before np.exp turns it into nan coefficients
+        raise ValueError(f"phi must be finite, got {phi!r}")
     return SuperpositionSpec(
         a1=complex(np.sqrt(p)),
         a2=np.exp(1j * phi) * np.sqrt(1.0 - p),

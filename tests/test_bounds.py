@@ -474,3 +474,9 @@ def test_fit_recovers_exact_closed_form():
 def test_fit_rejects_short_grids():
     with pytest.raises(ValueError):
         fit_gme_closed_form([0.0, 1.0], [1.0, 2.0])
+    # three points fit any curve: the exact GME curve, outside the form's span
+    p = np.linspace(0, 1, 4)
+    ngme = np.sqrt(5 * p**2 - 4 * p + 8) / 3
+    with pytest.raises(ValueError, match="at least 4 points"):
+        fit_gme_closed_form(p[:3], ngme[:3])
+    assert fit_gme_closed_form(p, ngme).max_residual > 1e-4

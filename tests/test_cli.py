@@ -7,7 +7,6 @@ import json
 import math
 import os
 import pkgutil
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -20,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import supneg
 import supneg.bounds as bounds
 import supneg.cli as cli
@@ -511,22 +511,23 @@ def test_sweep_deterministic_bytes(capsys, tmp_path):
 
 
 def test_sweep_sidecar_without_out(capsys, tmp_path):
-    code, csv_text, _ = run_cli(capsys, "sweep", "--grid", "0,1,3",
+    code, csv_text, _ = run_cli(capsys, "sweep", "--grid", "0,1,4",
                                 "--sidecar", str(tmp_path / "fit.json"))
     assert code == 0
-    run_cli(capsys, "sweep", "--grid", "0,1,3", "--out", str(tmp_path / "s.csv"))
+    run_cli(capsys, "sweep", "--grid", "0,1,4", "--out", str(tmp_path / "s.csv"))
     assert csv_text == (tmp_path / "s.csv").read_text()  # the CSV stays on stdout
     fit = (tmp_path / "fit.json").read_bytes()
     assert fit == (tmp_path / "s.csv.fit.json").read_bytes()
 
 
 def test_sweep_rejects_short_grid_before_writing(capsys, tmp_path, monkeypatch):
-    # the sidecar's three-coefficient fit needs three points: refuse up front
+    # three points fit any curve of the sidecar's three-coefficient form
+    # exactly, so the fit needs four: refuse up front
     monkeypatch.chdir(tmp_path)
     for target in (["--out", "s.csv"], ["--sidecar", "f.json"]):
-        code, out, err = run_cli(capsys, "sweep", "--grid", "0,1,2", *target)
+        code, out, err = run_cli(capsys, "sweep", "--grid", "0,1,3", *target)
         assert (code, out) == (2, "")
-        assert "at least 3" in err
+        assert "at least 4" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -641,6 +642,17 @@ def test_worst_sample_ignores_rounding_level_moves(monkeypatch):
             for name, entry in before.items():
                 assert after[name]["worst_sample"] == entry["worst_sample"], name
                 assert after[name]["pass"] == entry["pass"], name
+
+
+@pytest.mark.parametrize("gap, worst", [(0.5e-12, 0), (2e-12, 1), (1e-9, 1)])
+def test_worst_sample_floor_is_the_boundary(monkeypatch, gap, worst):
+    # two passing violations: within WORST_SAMPLE_FLOOR = 1e-12 of each other
+    # the first is the worst sample, further apart the larger one
+    planted = [1e-8, 1e-8 + gap]
+    check = verify.Check(("planted",), lambda samples, seed: [((v,), {}) for v in planted])
+    monkeypatch.setattr(verify, "CHECKS", (check,))
+    summary, _ = run_verify(samples=2, seed=0, tol=1e-6)
+    assert summary["planted"]["worst_sample"] == worst
 
 
 def test_verify_haar_block_does_not_outlive_its_run(monkeypatch):
@@ -789,47 +801,28 @@ def test_verify_rejects_bad_tolerance(capsys, tmp_path, monkeypatch, tol):
 # ------------------------------------------------------------- entry point
 
 
-def _cli_sequence(capsys, out_dir):
-    """(exit code, stdout, stderr, files written) of each argv, in order."""
-    csv = str(out_dir / "sweep.csv")
-    sequence = [
-        ["measure", "--named", "ghz"],
-        ["measure", "--named", "w", "--format", "csv"],
-        ["bounds", "--s1", "named:ghz", "--s2", "named:w", "--p", "0.3",
-         "--dump-terms"],
-        ["bounds", "--s1", "named:ghz", "--s2", "named:w", "--a1", "0.6",
-         "--a2", "0.8i"],
-        ["bounds", "--s1", "named:ghz", "--s2", "named:w", "--p", "0.5"],
-        ["measure", "--named", "ghz", "--file", "x.json"],  # argparse usage error
-        ["measure", "--named", "nope"],  # input error
-        ["sweep", "--grid", "0,1,5", "--out", csv],
-        ["verify", "--samples", "2"],
-    ]
-    results = []
-    for argv in sequence:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-        results.append((code, captured.out, captured.err, files))
-    return results
+@pytest.fixture(scope="module")
+def transcript():
+    """The command corpus (tests/corpus.py), run once under the cached parser."""
+    return corpus.run()
 
 
-def test_repeated_main_calls_match_a_fresh_parser_each(capsys, tmp_path, monkeypatch):
-    cached_dir, fresh_dir = tmp_path / "cached", tmp_path / "fresh"
-    cached_dir.mkdir()
-    fresh_dir.mkdir()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        cached = _cli_sequence(capsys, cached_dir)
-        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-        fresh = _cli_sequence(capsys, fresh_dir)
-    assert [r[0] for r in cached] == [0, 0, 0, 0, 0, 2, 2, 0, 0]
-    assert cached == fresh
-    assert "not allowed with argument" in cached[5][2]
-    assert set(cached[7][3]) == {"sweep.csv", "sweep.csv.fit.json"}
+def test_corpus_entries_exit_as_listed(transcript):
+    assert [(r.command, r.code) for r in transcript] == [
+        (command, expected) for command, expected in corpus.ENTRIES]
+    for r in transcript:
+        if r.expected == 2:
+            assert "Traceback" not in r.stderr, r.command
+            assert sum("error:" in line for line in r.stderr.splitlines()) == 1, r.command
+    by_command = {r.command: r for r in transcript}
+    assert "not allowed with argument" in by_command["measure --named ghz --file x.json"].stderr
+    assert [name for name, _ in by_command["sweep --grid 0,1,5 --out sweep.csv"].files] == [
+        "sweep.csv", "sweep.csv.fit.json"]
+
+
+def test_repeated_main_calls_match_a_fresh_parser_each(transcript, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert corpus.run() == transcript
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -854,53 +847,6 @@ def test_module_entry_point_subprocess():
     proc = run_module("measure", "--named", "ghz")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_gme"] == pytest.approx(1.0, abs=1e-10)
-
-
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-INSTALLED_STEP = "- name: Installed package runs without the checkout"
-
-
-def _installed_step_commands():
-    """[argv, expected exit code] of every ``supneg`` line in the workflow's
-    installed-package step, read as text: an ``rc=0; supneg ... || rc=$?``
-    line expects the code of the ``test "$rc" -eq N`` line after it."""
-    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
-    start = next(k for k, line in enumerate(lines) if line.strip() == INSTALLED_STEP) + 1
-    assert lines[start].strip() == "run: |"
-    indent = len(lines[start]) - len(lines[start].lstrip())
-    block = []
-    for line in lines[start + 1 :]:
-        if line.strip() and len(line) - len(line.lstrip()) <= indent:
-            break
-        block.append(line.strip())
-    commands = []
-    for line in block:
-        if line.startswith("supneg "):
-            commands.append([shlex.split(line)[1:], 0])
-        elif line.startswith("rc=0; supneg ") and line.endswith(" || rc=$?"):
-            commands.append([shlex.split(line[len("rc=0; ") : -len(" || rc=$?")])[1:], None])
-        elif line.startswith('test "$rc" -eq '):
-            assert commands[-1][1] is None, line
-            commands[-1][1] = int(line.rsplit(" ", 1)[1])
-    assert len(commands) == sum("supneg " in line for line in block)  # none unread
-    return commands
-
-
-def test_ci_installed_package_commands_exit_as_the_workflow_expects(capsys, tmp_path,
-                                                                    monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    commands = _installed_step_commands()
-    assert len(commands) >= 8
-    for argv, expected in commands:
-        assert expected is not None, argv
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: say, a renamed option
-                pytest.fail(f"usage error (exit {exc.code}) on {argv}")
-        capsys.readouterr()
-        assert code == expected, argv
 
 
 # ------------------------------------------------------------------ Python API

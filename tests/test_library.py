@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,14 @@ def test_z_family_unit_coefficients_and_norm(p):
 def test_z_family_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got 1.5"):
         library.z_family(1.5)
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_z_family_rejects_a_non_finite_phase(phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before np.exp could warn
+        with pytest.raises(ValueError, match=r"phi must be finite"):
+            library.z_family(0.3, phi)
 
 
 # ------------------------------------------------------------ haar sampler

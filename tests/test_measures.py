@@ -432,6 +432,19 @@ def test_concurrence_detects_convention_bug(monkeypatch, ghz):
     )
 
 
+@pytest.mark.parametrize("gap, accepted", [(0.5e-8, True), (2e-8, False)])
+def test_convention_tol_is_the_boundary(monkeypatch, ghz, gap, accepted):
+    # CONVENTION_TOL = 1e-8: the concurrence paths disagree by gap on every cut
+    exact = measures.cut_measures
+    monkeypatch.setattr(measures, "cut_measures", lambda pairs: [
+        c._replace(generator=c.density + gap) for c in exact(pairs)])
+    if accepted:
+        measure_report(ghz)
+    else:
+        with pytest.raises(ValueError, match="concurrence paths disagree"):
+            measure_report(ghz)
+
+
 def test_multipartite_concurrence_values(ghz, w):
     assert measure_report(ghz).c2_multi == pytest.approx(3.0, abs=1e-12)
     assert measure_report(w).c2_multi == pytest.approx(8 / 3, abs=1e-12)

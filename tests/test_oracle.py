@@ -153,6 +153,18 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("skew, accepted", [(0.5e-10, True), (2e-10, False)])
+def test_hermiticity_tol_is_the_boundary(skew, accepted):
+    # HERMITICITY_TOL = 1e-10, times max(1, max |entry|) = 1 here
+    m = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+    m[0, 1] += skew
+    if accepted:
+        hermitian_eigenvalues(m)
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(m)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_eigenvalues_reject_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):

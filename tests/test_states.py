@@ -20,6 +20,7 @@ from supneg.states import (
     matricize,
     new_state,
     normalize,
+    require_normalized,
     singular_values,
     state_from_dict,
 )
@@ -180,6 +181,38 @@ def test_normalize_rejects_zero():
         normalize(chi)
 
 
+# Each tolerance constant is pinned by what it does: an input at half its
+# value passes and one at twice its value is rejected.  The values are
+# literals here, so a changed constant fails its test.
+
+
+@pytest.mark.parametrize("norm, accepted", [(0.5e-14, False), (2e-14, True)])
+def test_zero_norm_tol_is_the_boundary(norm, accepted):
+    # ZERO_NORM_TOL = 1e-14, reversed: a shorter vector is the zero vector
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = norm
+    for build in (lambda: new_state([2, 2, 2], amps),
+                  lambda: normalize(PureState((2, 2, 2), amps))):
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError, match="zero vector"):
+                build()
+
+
+@pytest.mark.parametrize("offset, accepted", [(0.5e-12, True), (2e-12, False)])
+def test_normalized_tol_is_the_boundary(offset, accepted):
+    # NORMALIZED_TOL = 1e-12 on |<psi|psi> - 1|
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = np.sqrt(1.0 + offset)
+    state = PureState((2, 2, 2), amps)
+    if accepted:
+        require_normalized(state, "test")
+    else:
+        with pytest.raises(ValueError, match="requires a normalized state"):
+            require_normalized(state, "test")
+
+
 # ------------------------------------------------------- superposition spec
 
 
@@ -205,6 +238,17 @@ def test_superpose_coefficient_constraint(ghz, w):
         SuperpositionSpec(1.0, 1.0, ghz, w)
     chi = SuperpositionSpec(1.0, 1.0, ghz, w, coeff_check=False).superposed()
     assert chi.norm_sq > 1.0
+
+
+@pytest.mark.parametrize("offset, accepted", [(0.5e-10, True), (2e-10, False)])
+def test_coeff_tol_is_the_boundary(ghz, w, offset, accepted):
+    # COEFF_TOL = 1e-10 on |a1|^2 + |a2|^2 - 1
+    a = np.sqrt((1.0 + offset) / 2.0)
+    if accepted:
+        SuperpositionSpec(a, a, ghz, w)
+    else:
+        with pytest.raises(ValueError, match="must satisfy"):
+            SuperpositionSpec(a, a, ghz, w)
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), float("inf"), complex(0.0, float("inf"))])
