@@ -9,8 +9,13 @@ Lower bounds may be negative as stated; clamped-at-zero variants are reported
 alongside.  The self sums S_gamma(psi, psi), exact values included, are
 2 sum_{i<j} s_i s_j over the singular values s of the matricization, by
 ``states.pair_sum``, the formula of the Schmidt path in ``measures``; only
-S_gamma(psi1, psi2) takes the cross-sum kernel.  The superposition itself,
-``SuperpositionSpec``, lives in ``supneg.states`` with its coefficient checks.
+S_gamma(psi1, psi2) takes the cross-sum kernel.  None of the nine component
+sums depends on the coefficients, so a batch computes them once per distinct
+(psi1, psi2) and a module-level memo keeps those of the last pair: a
+coefficient sweep and repeated calls on one pair pay the kernel once.
+Each sum has the same bits alone as in any batch, so a memo hit returns the
+bytes a recomputation would.  The superposition itself, ``SuperpositionSpec``,
+lives in ``supneg.states`` with its coefficient checks.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ from .states import (Bipartition, PureState, SuperpositionSpec, bipartitions, pa
 # lower bounds do not.
 REPORTED_TOTAL_CONSTANTS = (32.0, 16.0 * np.sqrt(6.0), 24.0)
 REPORTED_GME_CONSTANTS = (16.0 / 3.0, (8.0 / 3.0) * np.sqrt(6.0), 4.0)
+
+# The nine component sums S(psi1,psi1), S(psi2,psi2), S(psi1,psi2) of the last
+# _PAIR_MEMO_SIZE component pairs, keyed by ``_pair_key``; a d = 12 key holds
+# 55 kB of amplitude bytes.  One pair: repeated bounds calls reuse only the
+# previous call's pair, and a batch shares its pairs without the memo.
+_PAIR_MEMO_SIZE = 1
+_pair_memo: dict[tuple, tuple[float, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -131,18 +143,37 @@ def combine_bounds(lo: Sequence[float], hi: Sequence[float]) -> tuple[float, flo
     return upper, lower_raw
 
 
+def _pair_key(spec: SuperpositionSpec) -> tuple:
+    """The memo key of a spec's component pair: dims and both amplitude byte strings."""
+    return (spec.psi1.dims, spec.psi1.amplitudes.tobytes(), spec.psi2.amplitudes.tobytes())
+
+
 def evaluate_bounds_batch(specs: Sequence[SuperpositionSpec]) -> list[BoundsReport]:
-    """``evaluate_bounds`` of every spec, in order, bit for bit: the self sums
-    of psi1, psi2 and chi from one stacked SVD per matricization shape, the
-    psi1-psi2 cross sums from one kernel call."""
+    """``evaluate_bounds`` of every spec, in order, bit for bit.  The six self
+    sums and three cross sums of a component pair missing from the pair memo
+    come from one stacked SVD per matricization shape, shared with every
+    spec's chi, and one kernel call for the psi1-psi2 triples; each pair is
+    computed once per batch and the memo updated after both calls.  Reads
+    and evictions tolerate other threads: a race costs a recomputation."""
     chis = [spec.superposed() for spec in specs]
-    selfs = _self_sums((state, cut) for spec, chi in zip(specs, chis)
-                       for state in (spec.psi1, spec.psi2, chi) for cut in bipartitions(chi))
-    s12 = cross_sums((sp.psi1, sp.psi2, cut) for sp in specs for cut in bipartitions(sp.psi1))
+    keys = [_pair_key(spec) for spec in specs]
+    hits = ((key, _pair_memo.get(key)) for key in keys)
+    pair_sums = {key: sums for key, sums in hits if sums is not None}
+    missing = {key: spec for key, spec in zip(keys, specs) if key not in pair_sums}
+    selfs = _self_sums([(state, cut) for spec in missing.values()
+                        for state in (spec.psi1, spec.psi2) for cut in bipartitions(state)]
+                       + [(chi, cut) for chi in chis for cut in bipartitions(chi)])
+    s12 = cross_sums([(sp.psi1, sp.psi2, cut) for sp in missing.values()
+                      for cut in bipartitions(sp.psi1)])
+    for j, key in enumerate(missing):
+        pair_sums[key] = _pair_memo[key] = (*selfs[6 * j : 6 * j + 6], *s12[3 * j : 3 * j + 3])
+    for key in list(_pair_memo)[:-_PAIR_MEMO_SIZE]:  # all but the newest inserts
+        _pair_memo.pop(key, None)
+    chi_sums = selfs[6 * len(missing) :]
     reports = []
     for k, (spec, chi) in enumerate(zip(specs, chis)):
-        table = _table(spec, selfs[9 * k : 9 * k + 6] + s12[3 * k : 3 * k + 3])
-        per_cut = selfs[9 * k + 6 : 9 * k + 9]
+        table = _table(spec, pair_sums[keys[k]])
+        per_cut = chi_sums[3 * k : 3 * k + 3]
         multi = (table.f11_multi, table.f22_multi, 2.0 * table.f12_multi)
         t1_upper, t1_lower_raw = combine_bounds(multi, multi)
         t2_upper, t2_lower_raw = combine_bounds(

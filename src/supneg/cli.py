@@ -99,6 +99,8 @@ def resolve_state_source(source: str) -> PureState:
         raise CliError(f"cannot read state file {path!r}: {exc}") from exc
     except (ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"invalid state file {path!r}: {exc}") from exc
+    if len(state.dims) != 3:
+        raise CliError(f"state file {path!r} has dims {state.dims}; supneg needs three subsystems")
     return _ensure_normalized(state, path)
 
 

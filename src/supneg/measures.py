@@ -20,7 +20,10 @@ compound.  A thin LQ [P; Q] = L W with W W^dagger = I gives
 T(P, Q) = T(L_P, L_Q) C2(W) by Cauchy-Binet, and C2(W) is a co-isometry
 (Horn & Johnson, Matrix Analysis, sec. 0.8.1).  So the smaller matrix
 T(L_P, L_Q), C(r,2) x C(min(2r, c),2) or C(r,2) x C(min(r, c),2) for
-psi = phi, has the singular values of T.
+psi = phi, has the singular values of T.  L is lower trapezoidal, so L_P is
+zero from column r on and the columns (k, l) of T(L_P, L_Q) with k >= r
+vanish; they are not built (66 of 276 at d = 12; none for psi = phi, where L
+has at most r columns).
 
 The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples;
 a report or a verify check makes one call (the Haar check serves three check
@@ -79,24 +82,30 @@ class CutMeasures(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generator pairs i < j of range(n), lexicographic; read-only, as cached."""
+def _pair_indices(n: int, below: int | None = None) -> tuple[np.ndarray, ...]:
+    """Generator pairs i < j of range(n), lexicographic, with i < ``below``
+    when given; read-only, as cached."""
     pairs = np.triu_indices(n, 1)
+    if below is not None:
+        pairs = tuple(side[pairs[0] < below] for side in pairs)
     for side in pairs:
         side.setflags(write=False)
     return pairs
 
 
-def t_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def t_matrix(p: np.ndarray, q: np.ndarray, below: int | None = None) -> np.ndarray:
     """T(p, q) = C2(p + q) - C2(p) - C2(q) for two same-shape (stacks of) matrices.
 
     Rows alpha and columns beta are generator pairs, lexicographic; entry
     p[i,k] q[j,l] + q[i,k] p[j,l] - p[i,l] q[j,k] - q[i,l] p[j,k], grouped so
     that swapping p and q gives the same matrix bit for bit.  Entry-wise, so
-    a stack gets the bits of its members built one at a time.
+    a stack gets the bits of its members built one at a time.  With ``below``
+    only the columns k < l with k < below are built: each term has a factor
+    p[., k] or p[., l], so the others are zero when p is zero from column
+    ``below`` on.
     """
     ri, rj = _pair_indices(p.shape[-2])
-    ci, cj = _pair_indices(p.shape[-1])
+    ci, cj = _pair_indices(p.shape[-1], below)
     pi, pj = p[..., ri, :], p[..., rj, :]
     qi, qj = q[..., ri, :], q[..., rj, :]
     # in place on fresh gathers: at most four T-sized arrays live at once
@@ -163,11 +172,12 @@ def cross_sum_spectra(
     spectra: list = [None] * len(triples)
     for ((_, rows, _), members), factors in zip(groups.items(), lqs):
         lp, lq = factors[:, :rows], factors[:, -rows:]
-        entries = math.comb(rows, 2) * math.comb(factors.shape[2], 2)  # of one T
+        # L is lower trapezoidal, so L_P is zero from column rows on
+        entries = math.comb(rows, 2) * _pair_indices(factors.shape[2], rows)[0].size  # of one T
         step = max(1, T_CHUNK_ENTRIES // entries)
         for start in range(0, len(members), step):
             chunk = slice(start, start + step)
-            sv = np.linalg.svd(t_matrix(lp[chunk], lq[chunk]), compute_uv=False)
+            sv = np.linalg.svd(t_matrix(lp[chunk], lq[chunk], rows), compute_uv=False)
             for i, sigma in zip(members[chunk], sv):
                 spectra[i] = sigma
     return spectra

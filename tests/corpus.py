@@ -81,6 +81,7 @@ ENTRIES = [
     ("measure --file nan_amplitude.json", 2),
     ("measure --file bool_amplitude.json", 2),
     ("measure --file zero_vector.json", 2),
+    ("bounds --s1 named:ghz --s2 bad_dims.json --p 0.5", 2),
     (f"bounds {GHZ_W} --p 0.5 --a1 1 --a2 0", 2),
     (f"bounds {GHZ_W} --a1 1e200 --a2 1 --no-coeff-check", 2),
     ("sweep --grid 0,1,2 --sidecar fit.json", 2),

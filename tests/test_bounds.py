@@ -1,3 +1,6 @@
+import json
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import bilinear_matrix, cross_term_table
-from supneg import library, measures
+from supneg import bounds, library, measures
 from supneg.bounds import (
     REPORTED_GME_CONSTANTS,
     REPORTED_TOTAL_CONSTANTS,
@@ -230,6 +233,67 @@ def test_batch_reports_equal_single_reports_bit_for_bit():
         alone = evaluate_bounds(spec)
         assert batched.to_dict() == alone.to_dict()
         assert batched.terms == alone.terms
+
+
+# ---------------------------------------------------------------- pair memo
+
+
+def _report_bytes(report):
+    return json.dumps([report.to_dict(), report.terms.to_dict()], sort_keys=True)
+
+
+def _cold(spec):
+    bounds._pair_memo.clear()
+    return _report_bytes(evaluate_bounds(spec))
+
+
+MEMO_PAIRS = {
+    "ghz_w": lambda: (library.ghz(2), library.w_state()),
+    "haar_d3": lambda: (library.haar_random([3, 3, 3], 1), library.haar_random([3, 3, 3], 2)),
+    "haar_d12": lambda: (library.haar_random([12, 12, 12], 1),
+                         library.haar_random([12, 12, 12], 2)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(MEMO_PAIRS))
+def test_memo_hit_gives_the_bytes_of_a_cold_run(pair):
+    psi1, psi2 = MEMO_PAIRS[pair]()
+    spec = SuperpositionSpec(0.6, 0.8j, psi1, psi2)
+    cold = _cold(spec)
+    evaluate_bounds(SuperpositionSpec(0.8, -0.6j, psi1, psi2))  # memoizes the pair
+    assert len(bounds._pair_memo) == 1
+    assert _report_bytes(evaluate_bounds(spec)) == cold
+
+
+def test_memo_keys_tell_components_and_their_order_apart():
+    psi1, psi2, psi3 = (library.haar_random([3, 3, 3], seed) for seed in (5, 6, 7))
+    specs = [SuperpositionSpec(0.6, 0.8j, a, b) for a, b in
+             ((psi1, psi2), (psi1, psi3), (psi2, psi1))]
+    batched = [_report_bytes(r) for r in evaluate_bounds_batch(specs)]
+    assert batched == [_cold(spec) for spec in specs]
+
+
+def test_memo_holds_at_most_its_size():
+    size = bounds._PAIR_MEMO_SIZE
+    states = [library.haar_random([2, 2, 2], seed) for seed in range(size + 4)]
+    specs = [SuperpositionSpec(0.6, 0.8, a, b) for a, b in zip(states, states[1:])]
+    for spec in specs:
+        evaluate_bounds(spec)
+        assert len(bounds._pair_memo) <= size
+    assert list(bounds._pair_memo) == [bounds._pair_key(spec) for spec in specs[-size:]]
+
+
+def test_memo_shared_by_threads_gives_cold_bytes():
+    # threads that read, insert and evict at once may recompute a pair, but
+    # never raise and never read another pair's sums
+    states = [library.haar_random([3, 3, 3], seed) for seed in range(5)]
+    specs = [SuperpositionSpec(0.6, 0.8j, a, b) for a, b in zip(states, states[1:])]
+    cold = [_cold(spec) for spec in specs]
+    work = [k % len(specs) for k in range(40)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda k: _report_bytes(evaluate_bounds(specs[k])), work))
+    assert got == [cold[k] for k in work]
+    assert len(bounds._pair_memo) <= bounds._PAIR_MEMO_SIZE
 
 
 # ------------------------------------------------------------ total bounds

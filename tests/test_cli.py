@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -168,6 +169,18 @@ def test_measure_invalid_file_exits_2(capsys, tmp_path):
     assert "error" in err
     code, _, err = run_cli(capsys, "measure", "--file", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2, 2]])
+def test_non_tripartite_state_file_names_itself(capsys, tmp_path, dims):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(library.haar_random(dims, 1).to_dict()))
+    message = f"error: state file {str(path)!r} has dims {tuple(dims)}"
+    for argv in (["measure", "--file", str(path)],
+                 ["bounds", "--s1", "named:ghz", "--s2", str(path), "--p", "0.5"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(message)
 
 
 def test_measure_named_unknown_parameter_exits_2(capsys):
@@ -847,6 +860,33 @@ def test_module_entry_point_subprocess():
     proc = run_module("measure", "--named", "ghz")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_gme"] == pytest.approx(1.0, abs=1e-10)
+
+
+SMOKE_ENTRIES = (
+    "measure --named ghz",
+    f"bounds {corpus.HAAR3} {corpus.COMPLEX} --dump-terms",
+    "measure --file bad_dims.json",
+)
+
+
+def test_copied_package_runs_corpus_entries_as_in_process(transcript, tmp_path):
+    # the package alone, copied out of the tree, run from another directory
+    shutil.copytree(Path(supneg.__file__).parent, tmp_path / "lib" / "supneg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    work = tmp_path / "work"
+    work.mkdir()
+    inputs = corpus._inputs()
+    for name in ("haar3_1.json", "haar3_2.json", "bad_dims.json"):
+        (work / name).write_text(inputs[name], encoding="utf-8")
+    by_command = {r.command: r for r in transcript}
+    for command in SMOKE_ENTRIES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "supneg.cli", *command.split()],
+            capture_output=True, text=True, cwd=work,
+            env={**os.environ, "PYTHONPATH": str(tmp_path / "lib")},
+        )
+        expected = by_command[command]
+        assert (proc.returncode, proc.stdout) == (expected.code, expected.stdout), command
 
 
 # ------------------------------------------------------------------ Python API

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import warnings
 
@@ -363,6 +364,25 @@ def test_cross_sum_symmetric_exactly_on_haar_pairs(dims):
             assert cross_sums([(a, copy, cut)])[0] == cross_sums([(a, a, cut)])[0]
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 4), (12, 2, 2), (5, 5, 5)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_t_drops_only_zero_columns(dims, n):
+    # L is lower trapezoidal, so L_P is zero from column r on and every T
+    # column (k, l) with k >= r vanishes; the kept ones are a prefix, and for
+    # a self pair (n = 1) L has at most r columns, so every column is kept
+    a, b = library.haar_random(list(dims), 1), library.haar_random(list(dims), 2)
+    for cut in bipartitions(a):
+        factors = measures._stacked_lq([[matricize(s, cut) for s in (a, b)[:n]]])
+        rows = cut.row_dim
+        lp, lq = factors[:, :rows], factors[:, -rows:]
+        full = measures.t_matrix(lp, lq)
+        kept = measures.t_matrix(lp, lq, rows)
+        assert kept.tobytes() == full[..., : kept.shape[-1]].tobytes()
+        assert not full[..., kept.shape[-1] :].any()
+        k = factors.shape[2]
+        assert kept.shape[-1] == math.comb(k, 2) - math.comb(max(k - rows, 0), 2)
+
+
 def test_multipartite_negativity_values(ghz, w):
     assert measure_report(ghz).n_multi == pytest.approx(6.0, abs=1e-12)
     assert measure_report(w).n_multi == pytest.approx(4 * np.sqrt(2), abs=1e-12)
@@ -664,10 +684,16 @@ def test_bounds_are_one_kernel_call(monkeypatch):
     bounds.evaluate_bounds(library.random_superposition_spec([3, 3, 3], 4))
     assert len(kernel_calls) == 1
     del kernel_calls[:], t_builds[:]
-    bounds.evaluate_bounds_batch([library.z_family(p) for p in np.linspace(0.0, 1.0, 21)])
+    sweep = [library.z_family(p) for p in np.linspace(0.0, 1.0, 21)]
+    bounds.evaluate_bounds_batch(sweep)
     assert len(kernel_calls) == 1
+    # one component pair: its three psi1-psi2 triples, not 21 x 3
+    assert len(kernel_calls[0][0]) == 3
     # same-state and distinct-pair stacks of d = 2: two builds, not 21 x 12
     assert len(t_builds) <= 2
+    del kernel_calls[:]
+    bounds.evaluate_bounds_batch(sweep)  # every pair memoized
+    assert [len(args[0]) for args in kernel_calls] == [0]
 
 
 def _row_bits(rows):
