@@ -26,15 +26,18 @@ vanish; they are not built (66 of 276 at d = 12; none for psi = phi, where L
 has at most r columns).
 
 The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples;
-a report or a verify check makes one call (the Haar check serves three check
-names with one).  Bounds send it only their psi1-psi2 triples: a self sum
-T(P, P) = 2 C2(P) has singular values 2 s_i s_j, i < j, so ``bounds`` and
-the Schmidt path of ``cut_measures`` read it off the singular values s of P
-as 2 ``states.pair_sum(s)``.  Triples of one stacked shape share
-one QR of their stacked transposes; T(L_P, L_Q) is then built
-T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per chunk,
-so the temporaries of a stack stay in cache (three d = 12 cross-pair T built
-at once took 2.2-2.6 ms, against 0.6 ms one at a time).  LAPACK factors
+``cut_measures`` makes one call, and so does each verify check that uses it
+(the Haar check serves three check names with one).  Bounds send it only
+their psi1-psi2 triples: a self sum T(P, P) = 2 C2(P) has singular values
+2 s_i s_j, i < j, so ``bounds``, ``measure_report`` and the Schmidt path of
+``cut_measures`` read it off the singular values s of P as
+2 ``states.pair_sum(s)``.  ``measure_report`` reads every value off one
+stacked SVD per matricization shape; the kernel's self path stays in
+``cut_measures`` as the witness verify compares it with.  Triples of one
+stacked shape share one QR of their stacked transposes; T(L_P, L_Q) is then
+built T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per
+chunk, so the temporaries of a stack stay in cache (three d = 12 cross-pair
+T built at once took 2.2-2.6 ms, against 0.6 ms one at a time).  LAPACK factors
 each matrix of a stack on its own and T is entry-wise, so a triple gets the
 same bits alone as in any batch.  The dense T and the single bilinear form,
 the references this kernel is checked against, live in ``tests/reference.py``.
@@ -64,7 +67,6 @@ from .states import (
 )
 
 T_CHUNK_ENTRIES = 2**14  # T entries per t_matrix call: keeps stacked temporaries in cache
-CONVENTION_TOL = 1e-8  # disagreement between concurrence paths beyond this is a bug
 
 
 class CutMeasures(NamedTuple):
@@ -192,33 +194,58 @@ def cross_sums(
     return [float(sigma.sum()) for sigma in cross_sum_spectra(triples)]
 
 
+@lru_cache(maxsize=64)
+def _upper_mask(n: int) -> np.ndarray:
+    """0/1 (n, n) mask of the entries above the diagonal; read-only, as cached."""
+    mask = np.triu(np.ones((n, n)), 1)
+    mask.setflags(write=False)
+    return mask
+
+
+def _schmidt_paths(
+    pairs: list[tuple[PureState, Bipartition]], what: str
+) -> list[tuple[float, float]]:
+    """(negativity, squared concurrence) of every (normalized state, cut) pair
+    off its Schmidt values s, from one ``singular_values`` call.
+
+    The negativity is the self sum ``bounds`` reads, 2 ``pair_sum(s)``.  The
+    concurrence is the density path 4 sum_{i<j} lambda_i lambda_j,
+    lambda = s^2, which equals 2(1 - Tr rho^2) at unit norm without its
+    cancellation, so a product cut reads ~1e-32, not ~1e-16.  The cached mask
+    zeroes what ``np.triu`` would, so the sum has the same terms in the same
+    order.
+    """
+    # first: an unnormalized state raises the normalization error, before any SVD
+    for state, _ in pairs:
+        require_normalized(state, what)
+    values = []
+    for s in singular_values(pairs):
+        # s >= 0: only the upper end of [0, 1] can need clipping, and np.clip costs 5x more
+        lam = np.minimum(s * s, 1.0)
+        density = 4.0 * float((np.outer(lam, lam) * _upper_mask(lam.size)).sum())
+        values.append((2.0 * pair_sum(s), density))
+    return values
+
+
 def cut_measures(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[CutMeasures]:
     """All per-cut values of every (normalized state, cut) pair, without
     comparing paths; returned in pair order.
 
-    One stacked SVD per matricization shape for the Schmidt values s, and
-    one kernel call for the T spectra of the batch.  The Schmidt-path
-    negativity is the self sum ``bounds`` reads, 2 ``pair_sum(s)``.  The
-    density-path concurrence 4 sum_{i<j} lambda_i lambda_j, lambda = s^2,
-    equals 2(1 - Tr rho^2) at unit norm without its cancellation, so a
-    product cut reads ~1e-32, not ~1e-16.
+    The Schmidt path and the density path of ``_schmidt_paths`` (one stacked
+    SVD per matricization shape), and the T spectra of the batch from one
+    kernel call: the generator path that verify holds against both.
     """
     pairs = list(pairs)
-    # first: an unnormalized state raises the normalization error, before any SVD
-    for state, _ in pairs:
-        require_normalized(state, "cut_measures")
-    svals = singular_values(pairs)
+    paths = _schmidt_paths(pairs, "cut_measures")
     sigmas = cross_sum_spectra((state, state, cut) for state, cut in pairs)
-    # s >= 0: only the upper end of [0, 1] can need clipping, and np.clip costs 5x more
-    lams = [np.minimum(s * s, 1.0) for s in svals]
     return [
         CutMeasures(
             negativity=float(sigma.sum()),
-            schmidt=2.0 * pair_sum(s),
-            density=4.0 * float(np.triu(np.outer(lam, lam), 1).sum()),
+            schmidt=schmidt,
+            density=density,
             generator=float((sigma * sigma).sum()),
         )
-        for s, lam, sigma in zip(svals, lams, sigmas)
+        for (schmidt, density), sigma in zip(paths, sigmas)
     ]
 
 
@@ -247,25 +274,18 @@ class MeasureReport:
 def measure_report(state: PureState) -> MeasureReport:
     """Evaluate every measure of a normalized tripartite state.
 
-    One checked ``cut_measures`` pass over the three cuts, with their T
-    spectra from one kernel call.  The multipartite negativity is 2 * sum of
-    the per-cut values and the GME negativity is their min, both by
-    construction.  Diagnostics carry the Schmidt-path negativities, the
-    concurrence path differences, and the GME concurrence without the
-    factor 2 under the root (an alternate convention some references use).
-    Raises if the two concurrence paths disagree beyond CONVENTION_TOL, which
-    would signal a generator normalization bug.
+    Every value comes off the Schmidt values of the three cuts, from one
+    ``_schmidt_paths`` call: the per-cut negativities 2 ``pair_sum(s)`` and
+    the density-path concurrences; no T is built.  The multipartite
+    negativity is 2 * sum of the per-cut values and the GME negativity is
+    their min, both by construction.  Diagnostics carry the Schmidt-path
+    negativities (the per-cut values themselves) and the GME concurrence
+    without the factor 2 under the root (an alternate convention some
+    references use).
     """
-    cuts = bipartitions(state)
-    per_cut = cut_measures((state, cut) for cut in cuts)
-    for pair, cut in zip(per_cut, cuts):
-        if abs(pair.difference) > CONVENTION_TOL:
-            raise ValueError(
-                f"concurrence paths disagree by {pair.difference!r} on cut {cut.label}; "
-                "generator convention is broken"
-            )
-    negs = [c.negativity for c in per_cut]
-    c2 = [c.density for c in per_cut]
+    paths = _schmidt_paths([(state, cut) for cut in bipartitions(state)], "measure_report")
+    negs = [n for n, _ in paths]
+    c2 = [c for _, c in paths]
     return MeasureReport(
         n_a=negs[0],
         n_b=negs[1],
@@ -278,8 +298,7 @@ def measure_report(state: PureState) -> MeasureReport:
         c2_multi=sum(c2),
         c_gme=float(np.sqrt(min(c2))),
         diagnostics={
-            "n_schmidt": [c.schmidt for c in per_cut],
-            "c2_path_difference": [c.difference for c in per_cut],
+            "n_schmidt": negs,
             "c_gme_unit_prefactor": float(np.sqrt(min(c2) / 2.0)),
         },
     )

@@ -10,8 +10,10 @@ concurrence identity, GME positivity): it draws the Haar states once and
 makes one ``measures.cut_measures`` call over their cuts (one cross-sum
 kernel call, stacked Schmidt SVDs) and one Jacobi-oracle call.  The sandwich
 check makes one ``bounds.evaluate_bounds_batch`` call (stacked SVDs, one
-kernel call), the biseparability check one kernel call, the lemma check one
-``bounds.combine_bounds`` call per sample, the combination both bounds use.
+kernel call), the biseparability check one ``singular_values`` call for the
+Schmidt-path negativities 2 ``pair_sum(s)`` that ``measure`` reports, the
+lemma check one ``bounds.combine_bounds`` call per sample, the combination
+both bounds use.
 A check passes when its largest violation over the samples is within
 tolerance (the run's, or its entry in ``FIXED_TOLS``); a failing check keeps
 the inputs of its worst sample.
@@ -27,7 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, library, measures, oracle
-from .states import Bipartition, PureState, SuperpositionSpec, bipartitions
+from .states import (Bipartition, PureState, SuperpositionSpec, bipartitions, pair_sum,
+                     singular_values)
 
 HAAR_GME_FLOOR = 1e-6  # Haar states must clear this GME negativity
 FIXED_TOLS = {"haar_gme_positive": 0.0}  # names not held to the run's tolerance
@@ -167,7 +170,7 @@ def _biseparable(samples: int, seed: int) -> list[Row]:
         dims = _sample_dims(i)
         cut = Bipartition.of(dims, i % 3)
         states.append(library.random_biseparable(cut, dims, seed ^ i))
-    negs = _by_state(measures.cross_sums((s, s, cut) for s, cut in _cut_pairs(states)))
+    negs = _by_state([2.0 * pair_sum(s) for s in singular_values(_cut_pairs(states))])
     return [
         ((_min(*cuts),), {"sample": i, "state": state.to_dict()})
         for i, (state, cuts) in enumerate(zip(states, negs))

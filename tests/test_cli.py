@@ -40,15 +40,16 @@ from supneg.states import Bipartition, new_state, normalize
 S2 = 1 / np.sqrt(2)
 
 
-def run_module(*argv):
-    """``python -m supneg.cli`` in a child that imports the package under test."""
+def run_module(*argv, **env):
+    """``python -m supneg.cli`` in a child that imports the package under test,
+    with ``env`` added to its environment."""
     src = str(Path(supneg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "supneg.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -744,7 +745,8 @@ def _wrap(monkeypatch, module, name, transform):
 
 def test_verify_fails_a_nan_biseparable_cut_after_the_first(monkeypatch):
     # pair 1 is cut B|AC of sample 0: the built-in min skips a nan that is not first
-    _wrap(monkeypatch, measures, "cross_sums", lambda sums: sums[:1] + [math.nan] + sums[2:])
+    _wrap(monkeypatch, verify, "singular_values",
+          lambda svals: svals[:1] + [math.nan * svals[1]] + svals[2:])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         summary, checks = run_verify(samples=4, seed=42, tol=1e-9)
@@ -783,7 +785,7 @@ VERIFY_FAULTS = {  # check name -> (fault, every check name it fails)
         {"t2_sandwich"}),
     "min_combine_lemma": (_swap_lo_hi, {"min_combine_lemma", "t2_sandwich"}),
     "biseparable_gme_zero": (
-        lambda mp: _wrap(mp, measures, "cross_sums", lambda sums: [v + 1e-6 for v in sums]),
+        lambda mp: _wrap(mp, verify, "pair_sum", lambda v: v + 1e-6),
         {"biseparable_gme_zero"}),
 }
 
@@ -860,6 +862,19 @@ def test_module_entry_point_subprocess():
     proc = run_module("measure", "--named", "ghz")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_gme"] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("dims, seed", [([12, 12, 12], 1), ([8, 8, 8], 3)],
+                         ids=["d12", "d8"])
+def test_measure_bytes_do_not_depend_on_blas_threads(tmp_path, dims, seed):
+    # (12, 12, 12) seed 1 is the corpus's d = 12 bounds component; at d = 20
+    # the Schmidt SVDs still round differently with 2 threads
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(library.haar_random(dims, seed).to_dict()))
+    one, two = (run_module("measure", "--file", str(path), OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2"))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
 
 
 SMOKE_ENTRIES = (
