@@ -1,19 +1,19 @@
 """Property harness: seeded checks of the fast paths and the bounds.
 
-``CHECKS`` is a table of block checks.  Each takes the sample count and the
-run seed and returns one row per sample: one violation per check name it
-produces, plus the inputs that replay the sample.  Sample ``i`` draws from
-its own stream keyed by ``seed ^ i``, so results do not depend on how the
-samples are grouped; a block check can therefore batch work across its
-samples.  The Haar check is one entry for three names (dual path,
-concurrence identity, GME positivity): it draws the Haar states once and
-makes one ``measures.cut_measures`` call over their cuts (one cross-sum
-kernel call, stacked Schmidt SVDs) and one Jacobi-oracle call.  The sandwich
-check makes one ``bounds.evaluate_bounds_batch`` call (stacked SVDs, one
-kernel call), the biseparability check one ``singular_values`` call for the
-Schmidt-path negativities 2 ``pair_sum(s)`` that ``measure`` reports, the
-lemma check one ``bounds.combine_bounds`` call per sample, the combination
-both bounds use.
+``CHECKS`` is a table of block checks, each one sample contract:
+``draw(key, i)`` returns sample ``i`` drawn from its key, ``violations``
+scores a list of samples in one batch (per sample, one violation per check
+name) and ``replay`` returns the JSON inputs of one sample.  ``run_verify``
+alone derives the keys, ``seed ^ i``, so results do not depend on how the
+samples are grouped, and it calls ``replay`` only for the worst sample of a
+failing check.  The Haar check is one entry for three names (dual path,
+concurrence identity, GME positivity): it scores its states with one
+``measures.cut_measures`` call over their cuts (one cross-sum kernel call,
+stacked Schmidt SVDs) and one Jacobi-oracle call.  The sandwich check makes
+one ``bounds.evaluate_bounds_batch`` call (stacked SVDs, one kernel call),
+the biseparability check one ``singular_values`` call for the Schmidt-path
+negativities 2 ``pair_sum(s)`` that ``measure`` reports, the lemma check one
+``bounds.combine_bounds`` call per sample, the combination both bounds use.
 A check passes when its largest violation over the samples is within
 tolerance (the run's, or its entry in ``FIXED_TOLS``); a failing check keeps
 the inputs of its worst sample.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,22 +48,15 @@ class CheckResult:
     worst: dict | None = None
 
 
-Row = tuple[tuple[float, ...], dict]  # (violation per check name, replay inputs)
-
-
 class Check(NamedTuple):
     names: tuple[str, ...]
-    rows: Callable[[int, int], list[Row]]  # (samples, seed) -> one row per sample
+    draw: Callable[[int, int], Any]  # (key, i) -> sample i
+    violations: Callable[[list], Sequence[tuple[float, ...]]]  # per sample, one per name
+    replay: Callable[[Any], dict]  # sample -> its JSON inputs
 
 
 def _sample_dims(index: int) -> list[int]:
     return [2, 2, 2] if index % 2 == 0 else [3, 3, 3]
-
-
-def _haar_samples(samples: int, seed: int) -> tuple[list[PureState], list[dict]]:
-    """Haar sample ``i`` from ``seed ^ i``, with the inputs that replay it."""
-    states = [library.haar_random(_sample_dims(i), seed ^ i) for i in range(samples)]
-    return states, [{"sample": i, "state": s.to_dict()} for i, s in enumerate(states)]
 
 
 def _cut_pairs(states: list[PureState]) -> list[tuple[PureState, Bipartition]]:
@@ -86,19 +79,22 @@ def _min(*values: float) -> float:
     return math.nan if any(map(math.isnan, values)) else min(values)
 
 
-def _haar(samples: int, seed: int) -> list[Row]:
-    states, inputs = _haar_samples(samples, seed)
+def _state_replay(state: PureState) -> dict:
+    return {"state": state.to_dict()}
+
+
+def _haar_violations(states: list[PureState]) -> list[tuple[float, ...]]:
     pairs = _cut_pairs(states)
     per_state = _by_state(measures.cut_measures(pairs))
     n_pt = _by_state(list(oracle.negativities_pt_oracle(pairs)))
     rows = []
-    for cuts, pts, replay in zip(per_state, n_pt, inputs):
+    for cuts, pts in zip(per_state, n_pt):
         gaps = [abs(c.negativity - pt) for c, pt in zip(cuts, pts)]
         gaps += [abs(c.negativity - c.schmidt) for c in cuts]
         # the non-raising paths, so a broken convention is a measured violation
         concurrence = _max(0.0, *(abs(c.difference) for c in cuts))
         gme = _max(0.0, *(HAAR_GME_FLOOR - c.negativity for c in cuts))  # floor - min(N)
-        rows.append(((_max(*gaps), concurrence, gme), replay))
+        rows.append((_max(*gaps), concurrence, gme))
     return rows
 
 
@@ -112,16 +108,15 @@ def _degenerate_spec(seed: int) -> SuperpositionSpec:
     return SuperpositionSpec(a1, a2, psi, psi2)
 
 
-def _sandwiches(samples: int, seed: int) -> list[Row]:
-    # sample 0 exercises the documented degenerate parallel superposition
-    specs = [
-        _degenerate_spec(seed)
-        if i == 0
-        else library.random_superposition_spec(_sample_dims(i), seed ^ i)
-        for i in range(samples)
-    ]
+def _sandwich_draw(key: int, i: int) -> SuperpositionSpec:
+    if i == 0:  # the documented degenerate parallel superposition
+        return _degenerate_spec(key)
+    return library.random_superposition_spec(_sample_dims(i), key)
+
+
+def _sandwich_violations(specs: list[SuperpositionSpec]) -> list[tuple[float, ...]]:
     rows = []
-    for i, (spec, r) in enumerate(zip(specs, bounds.evaluate_bounds_batch(specs))):
+    for r in bounds.evaluate_bounds_batch(specs):
         if r.norm_sq < 1e-12:
             warnings.warn(
                 "superposition has near-zero norm; normalized-state values are "
@@ -129,14 +124,17 @@ def _sandwiches(samples: int, seed: int) -> list[Row]:
             )
         v1 = _max(r.t1_lower_raw - r.n_exact, r.n_exact - r.t1_upper)
         v2 = _max(r.t2_lower_raw - r.ngme_exact, r.ngme_exact - r.t2_upper)
-        payload = {
-            "a1": [spec.a1.real, spec.a1.imag],
-            "a2": [spec.a2.real, spec.a2.imag],
-            "psi1": spec.psi1.to_dict(),
-            "psi2": spec.psi2.to_dict(),
-        }
-        rows.append(((_max(v1, 0.0), _max(v2, 0.0)), {"sample": i, "spec": payload}))
+        rows.append((_max(v1, 0.0), _max(v2, 0.0)))
     return rows
+
+
+def _spec_replay(spec: SuperpositionSpec) -> dict:
+    return {"spec": {
+        "a1": [spec.a1.real, spec.a1.imag],
+        "a2": [spec.a2.real, spec.a2.imag],
+        "psi1": spec.psi1.to_dict(),
+        "psi2": spec.psi2.to_dict(),
+    }}
 
 
 def _lemma_violations(terms: np.ndarray) -> list[float]:
@@ -155,33 +153,26 @@ def _lemma_violations(terms: np.ndarray) -> list[float]:
     return violations
 
 
-def _lemma(samples: int, seed: int) -> list[Row]:
-    terms = np.array([library._rng(seed ^ i).uniform(1e-6, 10.0, size=(3, 3))
-                      for i in range(samples)])
-    return [
-        ((violation,), {"sample": i, "b": list(b), "c": list(c), "d": list(d)})
-        for i, (violation, (b, c, d)) in enumerate(zip(_lemma_violations(terms), terms))
-    ]
+def _biseparable_draw(key: int, i: int) -> PureState:
+    dims = _sample_dims(i)
+    return library.random_biseparable(Bipartition.of(dims, i % 3), dims, key)
 
 
-def _biseparable(samples: int, seed: int) -> list[Row]:
-    states = []
-    for i in range(samples):
-        dims = _sample_dims(i)
-        cut = Bipartition.of(dims, i % 3)
-        states.append(library.random_biseparable(cut, dims, seed ^ i))
+def _biseparable_violations(states: list[PureState]) -> list[tuple[float, ...]]:
     negs = _by_state([2.0 * pair_sum(s) for s in singular_values(_cut_pairs(states))])
-    return [
-        ((_min(*cuts),), {"sample": i, "state": state.to_dict()})
-        for i, (state, cuts) in enumerate(zip(states, negs))
-    ]
+    return [(_min(*cuts),) for cuts in negs]
 
 
 CHECKS = (
-    Check(("dual_path_negativity", "concurrence_identity", "haar_gme_positive"), _haar),
-    Check(("t1_sandwich", "t2_sandwich"), _sandwiches),
-    Check(("min_combine_lemma",), _lemma),
-    Check(("biseparable_gme_zero",), _biseparable),
+    Check(("dual_path_negativity", "concurrence_identity", "haar_gme_positive"),
+          lambda key, i: library.haar_random(_sample_dims(i), key), _haar_violations,
+          _state_replay),
+    Check(("t1_sandwich", "t2_sandwich"), _sandwich_draw, _sandwich_violations, _spec_replay),
+    Check(("min_combine_lemma",), lambda key, i: library._rng(key).uniform(1e-6, 10.0, (3, 3)),
+          lambda terms: [(v,) for v in _lemma_violations(np.array(terms))],
+          lambda t: {"b": list(t[0]), "c": list(t[1]), "d": list(t[2])}),
+    Check(("biseparable_gme_zero",), _biseparable_draw, _biseparable_violations,
+          _state_replay),
 )
 
 
@@ -196,17 +187,18 @@ def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckRes
         raise ValueError(f"verify tolerance must be finite and >= 0, got {tol!r}")
     results = []
     for check in CHECKS:
-        rows = check.rows(samples, seed)
+        drawn = [check.draw(seed ^ i, i) for i in range(samples)]  # sample i's key
+        rows = check.violations(drawn)
         for k, name in enumerate(check.names):
             limit = FIXED_TOLS.get(name, tol)
-            column = [float(violations[k]) for violations, _ in rows]
+            column = [float(violations[k]) for violations in rows]
             top = _max(*column)
             passed = top <= limit
             worst = next(
                 i for i, v in enumerate(column)
                 if math.isnan(v) or v >= top - WORST_SAMPLE_FLOOR and (passed or v > limit)
             )
-            inputs = None if passed else rows[worst][1]
+            inputs = None if passed else {"sample": worst, **check.replay(drawn[worst])}
             results.append(
                 CheckResult(name, samples, top, passed, worst, limit - top, inputs)
             )

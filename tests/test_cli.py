@@ -631,16 +631,16 @@ def test_verify_reports_worst_sample_and_margin(capsys, tmp_path, monkeypatch):
 
 
 def test_worst_sample_ignores_rounding_level_moves(monkeypatch):
-    def perturbed(rows_of, sign):
+    def perturbed(violations_of, sign):
         # +-1e-14 on every violation; a clipped (exactly zero) one stays zero
-        def rows(samples, seed):
-            steps = sign * np.random.default_rng(seed).choice([-1e-14, 1e-14], samples)
+        def violations(samples):
+            steps = sign * np.random.default_rng(42).choice([-1e-14, 1e-14], len(samples))
             return [
-                (tuple(v + step if v else v for v in vs), inputs)
-                for step, (vs, inputs) in zip(steps, rows_of(samples, seed))
+                tuple(v + step if v else v for v in vs)
+                for step, vs in zip(steps, violations_of(samples))
             ]
 
-        return rows
+        return violations
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -648,7 +648,8 @@ def test_worst_sample_ignores_rounding_level_moves(monkeypatch):
         originals = verify.CHECKS
         # one of the two sign patterns lowers the largest violation, whichever it is
         for sign in (1.0, -1.0):
-            checks = tuple(c._replace(rows=perturbed(c.rows, sign)) for c in originals)
+            checks = tuple(c._replace(violations=perturbed(c.violations, sign))
+                           for c in originals)
             monkeypatch.setattr(verify, "CHECKS", checks)
             after, _ = run_verify(samples=16, seed=42, tol=1e-9)
             dual = "dual_path_negativity"
@@ -663,7 +664,8 @@ def test_worst_sample_floor_is_the_boundary(monkeypatch, gap, worst):
     # two passing violations: within WORST_SAMPLE_FLOOR = 1e-12 of each other
     # the first is the worst sample, further apart the larger one
     planted = [1e-8, 1e-8 + gap]
-    check = verify.Check(("planted",), lambda samples, seed: [((v,), {}) for v in planted])
+    check = verify.Check(("planted",), lambda key, i: planted[i],
+                         lambda samples: [(v,) for v in samples], lambda v: {})
     monkeypatch.setattr(verify, "CHECKS", (check,))
     summary, _ = run_verify(samples=2, seed=0, tol=1e-6)
     assert summary["planted"]["worst_sample"] == worst
@@ -756,10 +758,15 @@ def test_verify_fails_a_nan_biseparable_cut_after_the_first(monkeypatch):
     assert {c.name for c in checks if not c.passed} == {"biseparable_gme_zero"}
 
 
-def _biseparable_haar_samples(out):
-    states, inputs = out
-    cuts = [Bipartition.of(list(s.dims), 0) for s in states]
-    return [library.random_biseparable(c, list(s.dims), 1) for c, s in zip(cuts, states)], inputs
+def _biseparable_haar_draws(monkeypatch):
+    """The Haar check draws, in place of each Haar state, a biseparable one of its dims."""
+    haar, *rest = verify.CHECKS
+
+    def draw(key, i):
+        dims = list(haar.draw(key, i).dims)
+        return library.random_biseparable(Bipartition.of(dims, 0), dims, 1)
+
+    monkeypatch.setattr(verify, "CHECKS", (haar._replace(draw=draw), *rest))
 
 
 def _swap_lo_hi(monkeypatch):
@@ -773,7 +780,7 @@ VERIFY_FAULTS = {  # check name -> (fault, every check name it fails)
                          lambda cuts: [c._replace(generator=c.generator + 1e-6) for c in cuts]),
         {"concurrence_identity"}),
     "haar_gme_positive": (
-        lambda mp: _wrap(mp, verify, "_haar_samples", _biseparable_haar_samples),
+        _biseparable_haar_draws,
         {"haar_gme_positive"}),
     "t1_sandwich": (  # an upper bound below the exact value
         lambda mp: _wrap(mp, bounds, "evaluate_bounds_batch", lambda reports: [

@@ -654,21 +654,25 @@ def test_verify_is_one_kernel_call_per_check(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         for check in verify.CHECKS:
+            drawn = _drawn(check, 8, 42)
             before = len(kernel_calls)
-            check.rows(8, 42)
+            check.violations(drawn)
             assert len(kernel_calls) - before <= 1, check.names
     # one T build per (check, stacked shape) group: 12, not one per triple (192)
     assert len(t_builds) <= 12
 
 
 def test_verify_run_shares_one_haar_block(monkeypatch):
-    draws = _count_calls(monkeypatch, verify._haar_samples)
+    haar, *rest = verify.CHECKS
+    draws = []
+    monkeypatch.setattr(verify, "CHECKS", (haar._replace(
+        draw=lambda key, i: draws.append(i) or haar.draw(key, i)), *rest))
     kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
     cut_measures_calls = _count_calls(monkeypatch, measures.cut_measures)
     jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
     with pytest.warns(UserWarning, match="near-zero norm"):
         verify.run_verify(samples=8, seed=42, tol=1e-9)
-    assert len(draws) == 1  # 8 Haar states for three checks, not 24
+    assert draws == list(range(8))  # 8 Haar states for three checks, not 24
     assert len(kernel_calls) == 2  # the Haar block and the sandwiches
     assert len(cut_measures_calls) == 1  # one batch, in the Haar block
     assert len(jacobi_calls) <= 2
@@ -717,20 +721,24 @@ def test_bounds_are_one_kernel_call(monkeypatch):
     assert [len(args[0]) for args in kernel_calls] == [0]
 
 
-def _row_bits(rows):
-    return [
-        ([float(v).hex() for v in violations], json.dumps(inputs, sort_keys=True))
-        for violations, inputs in rows
-    ]
+def _drawn(check, samples, seed):
+    """The samples ``run_verify`` draws for one check: sample i from key seed ^ i."""
+    return [check.draw(seed ^ i, i) for i in range(samples)]
+
+
+def _violation_bits(rows):
+    return [[float(v).hex() for v in violations] for violations in rows]
 
 
 @pytest.mark.parametrize("check", verify.CHECKS, ids=lambda c: c.names[0])
 def test_check_rows_do_not_depend_on_grouping(check):
+    # scoring a prefix of the drawn samples gives the prefix of the batch's violations
+    drawn = _drawn(check, 8, 42)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        full = _row_bits(check.rows(8, 42))
+        full = _violation_bits(check.violations(drawn))
         for k in (1, 3):
-            assert _row_bits(check.rows(k, 42)) == full[:k]
+            assert _violation_bits(check.violations(drawn[:k])) == full[:k]
 
 
 def test_near_zero_norm_warning_fires_once_per_run():
