@@ -3,8 +3,7 @@
 Random sampling uses numpy's Philox bit generator, a 64-bit counter-based
 generator with a documented, platform-independent algorithm, so seeded
 outputs (and any golden files derived from them) reproduce bit-for-bit
-everywhere.  Seeds are 64-bit unsigned integers; seeded ensembles decouple
-their streams by deriving per-sample seeds as ``seed XOR index``.
+everywhere.  Seeds are 64-bit unsigned integers.
 """
 
 from __future__ import annotations

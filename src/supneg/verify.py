@@ -4,23 +4,27 @@
 ``draw(key, i)`` returns sample ``i`` drawn from its key, ``violations``
 scores a list of samples in one batch (per sample, one violation per check
 name) and ``replay`` returns the JSON inputs of one sample.  ``run_verify``
-alone derives the keys, ``seed ^ i``, so results do not depend on how the
-samples are grouped, and it calls ``replay`` only for the worst sample of a
-failing check.  The Haar check is one entry for three names (dual path,
-concurrence identity, GME positivity): it scores its states with one
-``measures.cut_measures`` call over their cuts (one cross-sum kernel call,
-stacked Schmidt SVDs) and one Jacobi-oracle call.  The sandwich check makes
-one ``bounds.evaluate_bounds_batch`` call (stacked SVDs, one kernel call),
-the biseparability check one ``singular_values`` call for the Schmidt-path
-negativities 2 ``pair_sum(s)`` that ``measure`` reports, the lemma check one
-``bounds.combine_bounds`` call per sample, the combination both bounds use.
-A check passes when its largest violation over the samples is within
-tolerance (the run's, or its entry in ``FIXED_TOLS``); a failing check keeps
-the inputs of its worst sample.
+alone derives the per-sample seeds, as ``seed XOR index``, so results do not
+depend on how the samples are grouped, and it calls ``replay`` only for the
+worst sample of a failing check.  The Haar check is one entry for three
+names (dual path, concurrence identity, GME positivity): it scores its
+states with one ``measures.cut_measures`` call over their cuts (one
+cross-sum kernel call, stacked Schmidt SVDs) and one Jacobi-oracle call.
+The sandwich check makes one ``bounds.evaluate_bounds_batch`` call (stacked
+SVDs, one kernel call); its sample 0 is a degenerate superposition, and its
+samples 2 mod 4 are specs where ``t1_upper`` is attained (``t2_upper`` too
+at 6 mod 8), so a fault in the sums ``bounds`` reads shows as a violation.
+The biseparability check makes one ``singular_values`` call for the
+Schmidt-path negativities 2 ``pair_sum(s)`` that ``measure`` reports, the
+lemma check one ``bounds.combine_bounds`` call per sample, the combination
+both bounds use.  A check passes when its largest violation over the samples
+is within tolerance (the run's, or its entry in ``FIXED_TOLS``); a failing
+check keeps the inputs of its worst sample.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -108,9 +112,29 @@ def _degenerate_spec(seed: int) -> SuperpositionSpec:
     return SuperpositionSpec(a1, a2, psi, psi2)
 
 
+def _attained_spec(key: int, dims: list[int], symmetric: bool) -> SuperpositionSpec:
+    """psi2 = e^{i theta} psi1 and a2 = e^{-i theta} sqrt(1 - w), in phase with
+    a1 = sqrt(w): chi = (a1 + |a2|) psi1 and s11 = s22 = s12 on every cut, so
+    t1_upper is attained.  A psi1 symmetric under the axis permutations has
+    equal cuts, so t2_upper is attained too."""
+    rng = library._rng(key)
+    amps = library._haar_vec(rng, math.prod(dims))
+    if symmetric:
+        cube = amps.reshape(dims)
+        amps = sum(cube.transpose(p) for p in itertools.permutations(range(3))).reshape(-1)
+        amps /= np.linalg.norm(amps)
+    theta, w = rng.uniform(0.0, 2.0 * np.pi), rng.uniform()
+    psi = PureState(dims, amps)
+    psi2 = PureState(psi.dims, np.exp(1j * theta) * amps)
+    return SuperpositionSpec(complex(np.sqrt(w)), np.exp(-1j * theta) * np.sqrt(1.0 - w),
+                             psi, psi2)
+
+
 def _sandwich_draw(key: int, i: int) -> SuperpositionSpec:
     if i == 0:  # the documented degenerate parallel superposition
         return _degenerate_spec(key)
+    if i % 4 == 2:  # a bound attained; each kind alternates dims every 8 samples
+        return _attained_spec(key, _sample_dims(i // 8), symmetric=i % 8 == 6)
     return library.random_superposition_spec(_sample_dims(i), key)
 
 

@@ -27,7 +27,7 @@ from supneg.states import (
     normalize,
     singular_values,
 )
-from supneg.verify import _degenerate_spec
+from supneg.verify import _degenerate_spec, _sandwich_draw
 
 S2 = 1 / np.sqrt(2)
 
@@ -233,6 +233,17 @@ def test_batch_reports_equal_single_reports_bit_for_bit():
         alone = evaluate_bounds(spec)
         assert batched.to_dict() == alone.to_dict()
         assert batched.terms == alone.terms
+
+
+def test_verify_attained_specs_attain_the_upper_bounds():
+    # verify's sandwich samples 2 mod 4: t1_upper is n_exact; 6 mod 8 are
+    # symmetric, so t2_upper is ngme_exact too
+    drawn = {i: _sandwich_draw(42 ^ i, i) for i in (2, 6, 10, 14)}
+    assert [spec.psi1.dims for spec in drawn.values()] == [(2, 2, 2)] * 2 + [(3, 3, 3)] * 2
+    for i, r in zip(drawn, evaluate_bounds_batch(list(drawn.values()))):
+        assert abs(r.t1_upper - r.n_exact) <= 1e-13, i
+        gap = r.t2_upper - r.ngme_exact  # random cuts leave t2_upper slack
+        assert abs(gap) <= 1e-13 if i % 8 == 6 else gap > 0.1, i
 
 
 # ---------------------------------------------------------------- pair memo

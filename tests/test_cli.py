@@ -35,7 +35,7 @@ from supneg.cli import (
     parse_named_state,
     run_verify,
 )
-from supneg.states import Bipartition, new_state, normalize
+from supneg.states import Bipartition, PureState, new_state, normalize
 
 S2 = 1 / np.sqrt(2)
 
@@ -671,6 +671,28 @@ def test_worst_sample_floor_is_the_boundary(monkeypatch, gap, worst):
     assert summary["planted"]["worst_sample"] == worst
 
 
+def test_verify_builds_replay_inputs_only_when_written(monkeypatch):
+    to_dict = PureState.to_dict
+    serialized = []
+    monkeypatch.setattr(PureState, "to_dict", lambda s: serialized.append(s) or to_dict(s))
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        _, checks = run_verify(samples=40, seed=42, tol=1e-9)
+    assert all(c.passed for c in checks) and serialized == []
+    # a planted check failing on samples 2 and 4: one replay, of the worst sample
+    replayed = []
+    planted = verify.Check(("planted",), lambda key, i: i,
+                           lambda samples: [(3e-9 if i == 4 else 2e-9 * (i == 2),)
+                                            for i in samples],
+                           lambda i: replayed.append(i) or {"planted": i})
+    monkeypatch.setattr(verify, "CHECKS", (*verify.CHECKS, planted))
+    with pytest.warns(UserWarning, match="near-zero norm"):
+        _, checks = run_verify(samples=8, seed=42, tol=1e-9)
+    result = checks[-1]
+    assert (result.name, result.passed, result.worst_sample) == ("planted", False, 4)
+    assert replayed == [4] and serialized == []
+    assert result.worst == {"sample": 4, "planted": 4}
+
+
 def test_verify_haar_block_does_not_outlive_its_run(monkeypatch):
     with pytest.warns(UserWarning, match="near-zero norm"):
         summary, _ = run_verify(samples=4, seed=7, tol=1e-9)
@@ -803,6 +825,15 @@ def test_verify_flags_a_fault_in_each_check(monkeypatch, name):
     fault(monkeypatch)
     assert name in failing
     assert _failing_checks() == failing
+
+
+@pytest.mark.parametrize("name, factor", [("cross_sums", 0.8), ("cross_sums", 0.999999),
+                                          ("_self_sums", 1.1), ("_self_sums", 1.000001)])
+def test_verify_flags_a_fault_in_the_bounds_inputs(monkeypatch, name, factor):
+    # sample 2 is an attained spec, t1_upper = n_exact: a scaled s12 or self sum
+    # moves one side only
+    _wrap(monkeypatch, bounds, name, lambda sums: [factor * v for v in sums])
+    assert "t1_sandwich" in _failing_checks()
 
 
 def test_verify_rejects_zero_samples(capsys):
