@@ -679,10 +679,9 @@ def test_verify_builds_replay_inputs_only_when_written(monkeypatch):
         _, checks = run_verify(samples=40, seed=42, tol=1e-9)
     assert all(c.passed for c in checks) and serialized == []
     # a planted check failing on samples 2 and 4: one replay, of the worst sample
-    replayed = []
+    failing, replayed = {2: 2e-9, 4: 3e-9}, []
     planted = verify.Check(("planted",), lambda key, i: i,
-                           lambda samples: [(3e-9 if i == 4 else 2e-9 * (i == 2),)
-                                            for i in samples],
+                           lambda samples: [(failing.get(i, 0.0),) for i in samples],
                            lambda i: replayed.append(i) or {"planted": i})
     monkeypatch.setattr(verify, "CHECKS", (*verify.CHECKS, planted))
     with pytest.warns(UserWarning, match="near-zero norm"):
