@@ -6,10 +6,19 @@ with ``PureState.to_dict``, and a few malformed payloads -- into a temporary
 directory and runs every entry there through ``supneg.cli.main``.  It returns
 the transcript: per entry its command, exit code, stdout, stderr, warning
 messages (without their source paths) and the name and bytes of every file
-the entry wrote.  There are no golden outputs, since OpenBLAS picks its
-kernels per CPU: bytes are compared between two runs.
+the entry wrote.
 
     python tests/corpus.py   # print the transcript; exit 1 on a wrong exit code
+
+``corpus.expected`` is the transcript checked in next to this file, written
+at one BLAS thread.  OpenBLAS picks its kernels per CPU and per thread
+count, so it is compared field by field, not byte for byte: every token
+that is not a number must match exactly, and every number x within
+``|delta| <= 1e-13 + 1e-12 |x|`` (``compare``).  A change that moves bytes
+on purpose regenerates the file, and its git diff lists them:
+
+    OPENBLAS_NUM_THREADS=1 python tests/corpus.py --write
+    python tests/corpus.py --compare tests/corpus.expected   # each moved field, max |delta|
 
 Two source trees run the same corpus, and their transcripts are diffed:
 
@@ -25,7 +34,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -185,15 +196,111 @@ def transcript_text(results: list[Result]) -> str:
     return "".join(parts)
 
 
-def main() -> int:
+EXPECTED = Path(__file__).with_name("corpus.expected")
+ABS_TOL, REL_TOL = 1e-13, 1e-12  # per number x: |delta| <= ABS_TOL + REL_TOL |x|
+# a number that is not part of a name such as c2_a or haar3_1.json
+NUMBER = re.compile(r"(?<![\w.])(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
+CSV_HEADER = re.compile(r"\w+(,\w+)+")
+JSON_KEY = re.compile(r'( *)"([^"]+)":')
+
+
+class Moved(NamedTuple):
+    command: str
+    field: str
+    max_delta: float  # inf when a token other than a number differs
+    ok: bool  # every number within tolerance, every other token equal
+
+
+def _entries(text: str) -> list[tuple[str, list[str]]]:
+    """(command, lines after the command) of every entry of a transcript."""
+    entries: list[tuple[str, list[str]]] = []
+    for line in text.splitlines():
+        if line.startswith("$ supneg "):
+            entries.append((line[len("$ supneg "):], []))
+        else:
+            entries[-1][1].append(line)
+    return entries
+
+
+def _cells(lines: list[str]) -> list[tuple[str, str]]:
+    """(field, text) of one entry's lines: a JSON line is one cell named by
+    its key path, a CSV row one cell per column named by the header."""
+    cells, block, header, keys = [], "exit", None, []  # the exit code comes first
+    for line in lines:
+        if line.startswith("--- "):
+            block, header, keys = line[4:], None, []
+            cells.append((block, line))
+            continue
+        if cells and cells[-1][1] == f"--- {block}" and CSV_HEADER.fullmatch(line):
+            header = line.split(",")
+        if header is not None:
+            cells += [(f"{block} {name}", cell) for name, cell in zip(header, line.split(","))]
+            continue
+        key = JSON_KEY.match(line)
+        if key:
+            keys = [(indent, name) for indent, name in keys if indent < len(key[1])]
+            path = ".".join([name for _, name in keys] + [key[2]])
+            if line.rstrip().endswith(("{", "[")):
+                keys.append((len(key[1]), key[2]))
+        else:
+            path = ".".join(name for _, name in keys)
+        cells.append((f"{block} {path}".rstrip(), line))
+    return cells
+
+
+def compare(expected: str, actual: str) -> list[Moved]:
+    """Every (entry, field) of ``actual`` whose text differs from ``expected``,
+    in transcript order, with its largest number move."""
+    moved: dict[tuple[str, str], Moved] = {}
+
+    def note(command: str, field: str, delta: float, ok: bool) -> None:
+        old = moved.get((command, field), Moved(command, field, 0.0, True))
+        moved[(command, field)] = Moved(command, field, max(old.max_delta, delta),
+                                        old.ok and ok)
+
+    old_entries, new_entries = _entries(expected), _entries(actual)
+    if [c for c, _ in old_entries] != [c for c, _ in new_entries]:
+        return [Moved("(entry list)", "commands", math.inf, False)]
+    for (command, old_lines), (_, new_lines) in zip(old_entries, new_entries):
+        old_cells, new_cells = _cells(old_lines), _cells(new_lines)
+        if [f for f, _ in old_cells] != [f for f, _ in new_cells]:
+            note(command, "(fields)", math.inf, False)
+            continue
+        for (field, old), (_, new) in zip(old_cells, new_cells):
+            if old == new:
+                continue
+            a, b = NUMBER.split(old), NUMBER.split(new)
+            if len(a) != len(b) or a[::2] != b[::2]:
+                note(command, field, math.inf, False)
+                continue
+            for x, y in zip(a[1::2], b[1::2]):
+                delta = abs(float(y) - float(x))
+                note(command, field, delta, delta <= ABS_TOL + REL_TOL * abs(float(x)))
+    return list(moved.values())
+
+
+def main(argv: list[str]) -> int:
     results = run()
-    sys.stdout.write(transcript_text(results))
+    text = transcript_text(results)
+    code = 0
+    if argv[:1] == ["--write"]:
+        EXPECTED.write_text(text, encoding="utf-8")
+    elif argv[:1] == ["--compare"] and len(argv) == 2:
+        for m in compare(Path(argv[1]).read_text(encoding="utf-8"), text):
+            verdict = "ok" if m.ok else "OUT OF TOLERANCE"
+            print(f"supneg {m.command} | {m.field} | max |delta| {m.max_delta:.3g} | {verdict}")
+            code = code or (0 if m.ok else 1)
+    elif argv:
+        print("usage: corpus.py [--write | --compare FILE]", file=sys.stderr)
+        return 2
+    else:
+        sys.stdout.write(text)
     wrong = [r for r in results if r.code != r.expected]
     for r in wrong:
         print(f"corpus: 'supneg {r.command}' exited {r.code}, expected {r.expected}",
               file=sys.stderr)
-    return 1 if wrong else 0
+    return 1 if wrong else code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -872,6 +872,24 @@ def test_corpus_entries_exit_as_listed(transcript):
         "sweep.csv", "sweep.csv.fit.json"]
 
 
+def test_corpus_matches_the_checked_in_transcript(transcript):
+    # a change that moves bytes on purpose regenerates corpus.expected (--write)
+    expected = corpus.EXPECTED.read_text(encoding="utf-8")
+    moved = corpus.compare(expected, corpus.transcript_text(transcript))
+    assert [m for m in moved if not m.ok] == []
+
+
+def test_corpus_compare_names_each_moved_field():
+    text = ('$ supneg measure\nexit 0\n--- stdout\n{\n  "d": {\n    "n": [\n      1.0,\n'
+            '      2.0\n    ]\n  },\n  "n_a": 0.5\n}\n--- file x.csv\np,n_a\n0.0,0.5\n')
+    assert corpus.compare(text, text) == []
+    planted = text.replace("0.5", repr(0.5 * (1 + 1e-9))).replace("2.0", "2.0000000000001")
+    assert [(m.field, m.ok) for m in corpus.compare(text, planted)] == [
+        ("stdout d.n", True), ("stdout n_a", False), ("file x.csv n_a", False)]
+    assert corpus.compare(text, text.replace("exit 0", "exit 2")) == [
+        corpus.Moved("measure", "exit", 2.0, False)]
+
+
 def test_repeated_main_calls_match_a_fresh_parser_each(transcript, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert corpus.run() == transcript
