@@ -26,14 +26,13 @@ vanish; they are not built (66 of 276 at d = 12; none for psi = phi, where L
 has at most r columns).
 
 The kernel ``cross_sum_spectra`` takes a batch of (psi, phi, cut) triples;
-``cut_measures`` makes one call, and so does each verify check that uses it
-(the Haar check serves three check names with one).  Bounds send it only
-their psi1-psi2 triples: a self sum T(P, P) = 2 C2(P) has singular values
-2 s_i s_j, i < j, so ``bounds``, ``measure_report`` and the Schmidt path of
-``cut_measures`` read it off the singular values s of P as
+each verify check that uses it makes one call (the Haar check serves three
+check names with one).  Bounds send it only their psi1-psi2 triples: a self
+sum T(P, P) = 2 C2(P) has singular values 2 s_i s_j, i < j, so ``bounds``
+and ``schmidt_paths`` read it off the singular values s of P as
 2 ``states.pair_sum(s)``.  ``measure_report`` reads every value off one
-stacked SVD per matricization shape; the kernel's self path stays in
-``cut_measures`` as the witness verify compares it with.  Triples of one
+``schmidt_paths`` call, one stacked SVD per matricization shape; the
+kernel's self path is the witness verify compares it with.  Triples of one
 stacked shape share one QR of their stacked transposes; T(L_P, L_Q) is then
 built T_CHUNK_ENTRIES entries at a time, one t_matrix call and one SVD per
 chunk, so the temporaries of a stack stay in cache (three d = 12 cross-pair
@@ -52,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -67,20 +66,6 @@ from .states import (
 )
 
 T_CHUNK_ENTRIES = 2**14  # T entries per t_matrix call: keeps stacked temporaries in cache
-
-
-class CutMeasures(NamedTuple):
-    """Per-cut values from sigma (singular values of T) and the Schmidt values
-    s (singular values of the matricization), lambda = s^2."""
-
-    negativity: float  # sum sigma, the trace norm of T
-    schmidt: float  # 2 sum_{i<j} s_i s_j, by the shared states.pair_sum
-    density: float  # 4 sum_{i<j} lambda_i lambda_j = 2 (1 - Tr rho_gamma^2)
-    generator: float  # sum sigma^2 = sum_{alpha,beta} |B_{alpha beta}|^2
-
-    @property
-    def difference(self) -> float:
-        return self.generator - self.density
 
 
 @lru_cache(maxsize=64)
@@ -202,9 +187,7 @@ def _upper_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _schmidt_paths(
-    pairs: list[tuple[PureState, Bipartition]], what: str
-) -> list[tuple[float, float]]:
+def schmidt_paths(pairs: list[tuple[PureState, Bipartition]]) -> list[tuple[float, float]]:
     """(negativity, squared concurrence) of every (normalized state, cut) pair
     off its Schmidt values s, from one ``singular_values`` call.
 
@@ -215,9 +198,6 @@ def _schmidt_paths(
     zeroes what ``np.triu`` would, so the sum has the same terms in the same
     order.
     """
-    # first: an unnormalized state raises the normalization error, before any SVD
-    for state, _ in pairs:
-        require_normalized(state, what)
     values = []
     for s in singular_values(pairs):
         # s >= 0: only the upper end of [0, 1] can need clipping, and np.clip costs 5x more
@@ -225,28 +205,6 @@ def _schmidt_paths(
         density = 4.0 * float((np.outer(lam, lam) * _upper_mask(lam.size)).sum())
         values.append((2.0 * pair_sum(s), density))
     return values
-
-
-def cut_measures(pairs: Iterable[tuple[PureState, Bipartition]]) -> list[CutMeasures]:
-    """All per-cut values of every (normalized state, cut) pair, without
-    comparing paths; returned in pair order.
-
-    The Schmidt path and the density path of ``_schmidt_paths`` (one stacked
-    SVD per matricization shape), and the T spectra of the batch from one
-    kernel call: the generator path that verify holds against both.
-    """
-    pairs = list(pairs)
-    paths = _schmidt_paths(pairs, "cut_measures")
-    sigmas = cross_sum_spectra((state, state, cut) for state, cut in pairs)
-    return [
-        CutMeasures(
-            negativity=float(sigma.sum()),
-            schmidt=schmidt,
-            density=density,
-            generator=float((sigma * sigma).sum()),
-        )
-        for (schmidt, density), sigma in zip(paths, sigmas)
-    ]
 
 
 @dataclass(frozen=True)
@@ -275,7 +233,7 @@ def measure_report(state: PureState) -> MeasureReport:
     """Evaluate every measure of a normalized tripartite state.
 
     Every value comes off the Schmidt values of the three cuts, from one
-    ``_schmidt_paths`` call: the per-cut negativities 2 ``pair_sum(s)`` and
+    ``schmidt_paths`` call: the per-cut negativities 2 ``pair_sum(s)`` and
     the density-path concurrences; no T is built.  The multipartite
     negativity is 2 * sum of the per-cut values and the GME negativity is
     their min, both by construction.  Diagnostics carry the Schmidt-path
@@ -283,7 +241,8 @@ def measure_report(state: PureState) -> MeasureReport:
     without the factor 2 under the root (an alternate convention some
     references use).
     """
-    paths = _schmidt_paths([(state, cut) for cut in bipartitions(state)], "measure_report")
+    require_normalized(state, "measure_report")
+    paths = schmidt_paths([(state, cut) for cut in bipartitions(state)])
     negs = [n for n, _ in paths]
     c2 = [c for _, c in paths]
     return MeasureReport(

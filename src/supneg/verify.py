@@ -7,9 +7,10 @@ name) and ``replay`` returns the JSON inputs of one sample.  ``run_verify``
 alone derives the per-sample seeds, as ``seed XOR index``, so results do not
 depend on how the samples are grouped, and it calls ``replay`` only for the
 worst sample of a failing check.  The Haar check is one entry for three
-names (dual path, concurrence identity, GME positivity): it scores its
-states with one ``measures.cut_measures`` call over their cuts (one
-cross-sum kernel call, stacked Schmidt SVDs) and one Jacobi-oracle call.
+names (dual path, concurrence identity, GME positivity): it scores the
+cuts of its states with one call each of the three paths it holds against
+one another, ``measures.schmidt_paths`` (stacked Schmidt SVDs), the
+cross-sum kernel and the Jacobi oracle.
 The sandwich check makes one ``bounds.evaluate_bounds_batch`` call (stacked
 SVDs, one kernel call); its sample 0 is a degenerate superposition, and its
 samples 2 mod 4 are specs where ``t1_upper`` is attained (``t2_upper`` too
@@ -88,16 +89,20 @@ def _state_replay(state: PureState) -> dict:
 
 
 def _haar_violations(states: list[PureState]) -> list[tuple[float, ...]]:
+    """Per state: the kernel's negativity sum(sigma) against the oracle and the
+    Schmidt path, sum(sigma^2) against the density path, and the GME floor."""
     pairs = _cut_pairs(states)
-    per_state = _by_state(measures.cut_measures(pairs))
+    paths = _by_state(measures.schmidt_paths(pairs))
+    sigmas = _by_state(measures.cross_sum_spectra((state, state, cut) for state, cut in pairs))
     n_pt = _by_state(list(oracle.negativities_pt_oracle(pairs)))
     rows = []
-    for cuts, pts in zip(per_state, n_pt):
-        gaps = [abs(c.negativity - pt) for c, pt in zip(cuts, pts)]
-        gaps += [abs(c.negativity - c.schmidt) for c in cuts]
-        # the non-raising paths, so a broken convention is a measured violation
-        concurrence = _max(0.0, *(abs(c.difference) for c in cuts))
-        gme = _max(0.0, *(HAAR_GME_FLOOR - c.negativity for c in cuts))  # floor - min(N)
+    for cuts, spectra, pts in zip(paths, sigmas, n_pt):
+        negs = [float(sigma.sum()) for sigma in spectra]
+        gaps = [abs(n - pt) for n, pt in zip(negs, pts)]
+        gaps += [abs(n - schmidt) for n, (schmidt, _) in zip(negs, cuts)]
+        concurrence = _max(0.0, *(abs(float((sigma * sigma).sum()) - density)
+                                  for sigma, (_, density) in zip(spectra, cuts)))
+        gme = _max(0.0, *(HAAR_GME_FLOOR - n for n in negs))  # floor - min(N)
         rows.append((_max(*gaps), concurrence, gme))
     return rows
 

@@ -68,7 +68,7 @@ def test_criterion_01_dual_path_negativity():
         n_so = measures.cross_sums([(state, state, cut)])[0]
         worst_pt = max(worst_pt, abs(n_so - pt))
         worst_schmidt = max(
-            worst_schmidt, abs(n_so - measures.cut_measures([(state, cut)])[0].schmidt)
+            worst_schmidt, abs(n_so - measures.schmidt_paths([(state, cut)])[0][0])
         )
     elapsed = time.perf_counter() - start
     passed = worst_pt <= 1e-9 and worst_schmidt <= 1e-9 and elapsed <= 60.0

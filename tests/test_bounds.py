@@ -172,7 +172,7 @@ def test_self_sums_within_roundoff_near_product(eps):
     else:
         states = [near_product([3, 3, 3], eps, 100 + k) for k in range(5)]
     pairs, fast, kernel = self_and_kernel(states)
-    schmidt = [c.schmidt for c in measures.cut_measures(pairs)]
+    schmidt = [n for n, _ in measures.schmidt_paths(pairs)]
     for (state, cut), s, got, via_t, path in zip(
         pairs, singular_values(pairs), fast, kernel, schmidt
     ):

@@ -797,8 +797,8 @@ def _swap_lo_hi(monkeypatch):
 
 VERIFY_FAULTS = {  # check name -> (fault, every check name it fails)
     "concurrence_identity": (
-        lambda mp: _wrap(mp, measures, "cut_measures",
-                         lambda cuts: [c._replace(generator=c.generator + 1e-6) for c in cuts]),
+        lambda mp: _wrap(mp, measures, "schmidt_paths",
+                         lambda paths: [(n, density + 1e-6) for n, density in paths]),
         {"concurrence_identity"}),
     "haar_gme_positive": (
         _biseparable_haar_draws,

@@ -19,7 +19,7 @@ from reference import (
     haar_unitary,
 )
 from supneg import bounds, library, oracle, verify
-from supneg.measures import cross_sums, cut_measures, measure_report
+from supneg.measures import cross_sum_spectra, cross_sums, measure_report, schmidt_paths
 from supneg.states import (
     Bipartition,
     PureState,
@@ -264,7 +264,7 @@ def test_negativity_zero_bell():
 
 def test_negativity_schmidt_values(ghz):
     def schmidt(state):
-        return cut_measures([(state, Bipartition.of(state.dims, 0))])[0].schmidt
+        return schmidt_paths([(state, Bipartition.of(state.dims, 0))])[0][0]
 
     assert schmidt(ghz) == pytest.approx(1.0)
     assert schmidt(basis_state(0)) == pytest.approx(0.0, abs=1e-9)
@@ -280,8 +280,8 @@ def test_negativity_requires_normalized(ghz):
     from supneg.states import PureState
 
     doubled = PureState(ghz.dims, 2 * ghz.amplitudes)
-    with pytest.raises(ValueError, match="normalized"):
-        cut_measures([(doubled, Bipartition.of(ghz.dims, 0))])[0]
+    with pytest.raises(ValueError, match="measure_report requires a normalized state"):
+        measure_report(doubled)
 
 
 def _assert_dual_path(states):
@@ -290,7 +290,7 @@ def _assert_dual_path(states):
     for (s, cut), n_pt in zip(pairs, oracle.negativities_pt_oracle(pairs)):
         n_so = cross_sums([(s, s, cut)])[0]
         assert n_so == pytest.approx(n_pt, abs=1e-9)
-        assert n_so == pytest.approx(cut_measures([(s, cut)])[0].schmidt, abs=1e-9)
+        assert n_so == pytest.approx(schmidt_paths([(s, cut)])[0][0], abs=1e-9)
 
 
 @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 3], [2, 3, 4]])
@@ -419,24 +419,31 @@ def test_composite_ordering_invariance():
 # -------------------------------------------------------------- concurrence
 
 
+def _density(state, cut):
+    """The density path 4 sum_{i<j} lambda_i lambda_j of one cut."""
+    return schmidt_paths([(state, cut)])[0][1]
+
+
+def _generator(state, cut):
+    """The generator path sum sigma^2 = sum |B|^2 of one cut, off the kernel's T."""
+    sigma = cross_sum_spectra([(state, state, cut)])[0]
+    return float((sigma * sigma).sum())
+
+
 def test_concurrence_sq_golden(ghz, w):
     for cut in bipartitions(ghz):
-        pair = cut_measures([(ghz, cut)])[0]
-        assert pair.density == pytest.approx(1.0, abs=1e-12)
-        assert pair.generator == pytest.approx(1.0, abs=1e-12)
-        assert cut_measures([(w, cut)])[0].density == pytest.approx(8 / 9, abs=1e-12)
+        assert _density(ghz, cut) == pytest.approx(1.0, abs=1e-12)
+        assert _generator(ghz, cut) == pytest.approx(1.0, abs=1e-12)
+        assert _density(w, cut) == pytest.approx(8 / 9, abs=1e-12)
     s = basis_state(0)
-    assert cut_measures([(s, Bipartition.of(s.dims, 0))])[0].density == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert _density(s, Bipartition.of(s.dims, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_concurrence_identity_on_haar(seed):
     s = library.haar_random([3, 3, 3], seed)
     for cut in bipartitions(s):
-        pair = cut_measures([(s, cut)])[0]
-        assert abs(pair.difference) <= 1e-9
+        assert abs(_generator(s, cut) - _density(s, cut)) <= 1e-9
 
 
 def test_concurrence_detects_convention_bug(monkeypatch, ghz):
@@ -461,9 +468,9 @@ def test_concurrence_detects_convention_bug(monkeypatch, ghz):
 @pytest.mark.parametrize("gap, accepted", [(0.5e-9, True), (2e-9, False)])
 def test_concurrence_identity_tol_is_the_boundary(monkeypatch, gap, accepted):
     # the run tolerance 1e-9: the concurrence paths disagree by gap on every cut
-    exact = measures.cut_measures
-    monkeypatch.setattr(measures, "cut_measures", lambda pairs: [
-        c._replace(generator=c.density + gap) for c in exact(pairs)])
+    exact = measures.schmidt_paths
+    monkeypatch.setattr(measures, "schmidt_paths", lambda pairs: [
+        (n, _generator(s, cut) - gap) for (n, _), (s, cut) in zip(exact(pairs), pairs)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         _, checks = verify.run_verify(samples=4, seed=7, tol=1e-9)
@@ -601,27 +608,29 @@ def test_density_mask_has_the_bits_of_triu():
             bisep = library.random_biseparable(Bipartition.of(dims, k % 3), dims, 600 + k)
             near = normalize(new_state(dims, bisep.amplitudes + 1e-4 * haar.amplitudes))[0]
             pairs += [(s, cut) for s in (haar, bisep, near) for cut in bipartitions(s)]
-    got = [density for _, density in measures._schmidt_paths(pairs, "test")]
+    got = [density for _, density in measures.schmidt_paths(pairs)]
     lams = [np.minimum(s * s, 1.0) for s in singular_values(pairs)]
     expected = [4.0 * float(np.triu(np.outer(lam, lam), 1).sum()) for lam in lams]
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
-def test_cut_measures_bits_do_not_depend_on_the_batch():
+def test_cut_paths_bits_do_not_depend_on_the_batch():
     # (2,3,4) has three matricization shapes, (3,3,3) one more
     states = [library.haar_random(dims, seed) for seed in range(4)
               for dims in ([2, 3, 4], [3, 3, 3])]
     pairs = [(s, cut) for s in states for cut in bipartitions(s)]
-    batch = measures.cut_measures(pairs)
-    for (s, cut), together in zip(pairs, batch):
-        alone = measures.cut_measures([(s, cut)])[0]
-        assert [float(v).hex() for v in alone] == [float(v).hex() for v in together]
-        assert alone.negativity.hex() == cross_sums([(s, s, cut)])[0].hex()
+    batch = schmidt_paths(pairs)
+    spectra = cross_sum_spectra((s, s, cut) for s, cut in pairs)
+    for (s, cut), together, sigma in zip(pairs, batch, spectra):
+        alone = schmidt_paths([(s, cut)])[0]
+        assert [v.hex() for v in alone] == [v.hex() for v in together]
+        assert cross_sum_spectra([(s, s, cut)])[0].tobytes() == sigma.tobytes()
+        assert float(sigma.sum()).hex() == cross_sums([(s, s, cut)])[0].hex()
     # measure_report reads the Schmidt and density paths, whatever its batch
     for s, cuts in zip(states, (batch[k : k + 3] for k in range(0, len(batch), 3))):
         report = measure_report(s)
-        negs = [c.schmidt for c in cuts]
-        c2 = [c.density for c in cuts]
+        negs = [n for n, _ in cuts]
+        c2 = [c for _, c in cuts]
         expected = (*negs, 2.0 * sum(negs), min(negs), *c2, float(np.sqrt(min(c2))), *negs)
         got = (report.n_a, report.n_b, report.n_c, report.n_multi, report.n_gme,
                report.c2_a, report.c2_b, report.c2_c, report.c_gme,
@@ -668,13 +677,13 @@ def test_verify_run_shares_one_haar_block(monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", (haar._replace(
         draw=lambda key, i: draws.append(i) or haar.draw(key, i)), *rest))
     kernel_calls = _count_calls(monkeypatch, measures.cross_sum_spectra)
-    cut_measures_calls = _count_calls(monkeypatch, measures.cut_measures)
+    schmidt_calls = _count_calls(monkeypatch, measures.schmidt_paths)
     jacobi_calls = _count_calls(monkeypatch, oracle.hermitian_eigenvalues)
     with pytest.warns(UserWarning, match="near-zero norm"):
         verify.run_verify(samples=8, seed=42, tol=1e-9)
     assert draws == list(range(8))  # 8 Haar states for three checks, not 24
     assert len(kernel_calls) == 2  # the Haar block and the sandwiches
-    assert len(cut_measures_calls) == 1  # one batch, in the Haar block
+    assert len(schmidt_calls) == 1  # one batch, in the Haar block
     assert len(jacobi_calls) <= 2
 
 
