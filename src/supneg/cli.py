@@ -247,8 +247,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise CliError("verify needs at least one sample")
     summary, checks = run_verify(args.samples, args.seed, args.tol)
     _emit(_json_text(summary), args.out)
     failed = [c for c in checks if not c.passed]
@@ -332,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:  # too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

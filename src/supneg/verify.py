@@ -211,7 +211,10 @@ def run_verify(samples: int, seed: int, tol: float) -> tuple[dict, list[CheckRes
     A check's worst sample is its first (failing, if the check fails) within
     WORST_SAMPLE_FLOOR of its largest violation: rounding cannot move it.  A
     nan violation fails its check, with the first nan sample as the worst.
-    A tolerance that is not a finite number >= 0 raises ValueError."""
+    Fewer than one sample, or a tolerance that is not a finite number >= 0,
+    raises ValueError."""
+    if samples < 1:
+        raise ValueError("verify needs at least one sample")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verify tolerance must be finite and >= 0, got {tol!r}")
     results = []

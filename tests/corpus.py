@@ -98,6 +98,9 @@ ENTRIES = [
     ("sweep --grid 0,1,2 --sidecar fit.json", 2),
     ("sweep --grid 0,1,3 --sidecar fit.json", 2),
     ("sweep --phi inf", 2),
+    # arrays of 14.2 PiB and 7.1 PiB: beyond any address space, so refused at once
+    ("measure --named ghz:d=100000", 2),
+    ("sweep --grid 0,1,1000000000000000", 2),
     ("verify --samples 0", 2),
 ]
 

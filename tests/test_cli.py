@@ -837,6 +837,9 @@ def test_verify_flags_a_fault_in_the_bounds_inputs(monkeypatch, name, factor):
 
 def test_verify_rejects_zero_samples(capsys):
     assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="verify needs at least one sample"):
+            run_verify(samples, 42, 1e-9)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
