@@ -330,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, OSError, MemoryError) as exc:  # too large to allocate
+    except (CliError, ValueError, OSError, MemoryError) as exc:  # MemoryError: input too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -283,26 +283,26 @@ def compare(expected: str, actual: str) -> list[Moved]:
 
 
 def main(argv: list[str]) -> int:
-    results = run()
-    text = transcript_text(results)
-    code = 0
-    if argv[:1] == ["--write"]:
-        EXPECTED.write_text(text, encoding="utf-8")
-    elif argv[:1] == ["--compare"] and len(argv) == 2:
-        for m in compare(Path(argv[1]).read_text(encoding="utf-8"), text):
-            verdict = "ok" if m.ok else "OUT OF TOLERANCE"
-            print(f"supneg {m.command} | {m.field} | max |delta| {m.max_delta:.3g} | {verdict}")
-            code = code or (0 if m.ok else 1)
-    elif argv:
+    if argv not in ([], ["--write"]) and not (len(argv) == 2 and argv[0] == "--compare"):
         print("usage: corpus.py [--write | --compare FILE]", file=sys.stderr)
         return 2
+    results = run()
+    text = transcript_text(results)
+    moved = []
+    if argv == ["--write"]:
+        EXPECTED.write_text(text, encoding="utf-8")
+    elif argv:
+        moved = compare(Path(argv[1]).read_text(encoding="utf-8"), text)
+        for m in moved:
+            verdict = "ok" if m.ok else "OUT OF TOLERANCE"
+            print(f"supneg {m.command} | {m.field} | max |delta| {m.max_delta:.3g} | {verdict}")
     else:
         sys.stdout.write(text)
     wrong = [r for r in results if r.code != r.expected]
     for r in wrong:
         print(f"corpus: 'supneg {r.command}' exited {r.code}, expected {r.expected}",
               file=sys.stderr)
-    return 1 if wrong else code
+    return 1 if wrong or not all(m.ok for m in moved) else 0
 
 
 if __name__ == "__main__":
