@@ -8,7 +8,9 @@ spec's own ``coefficient_weight``.
 Amplitudes are flat complex vectors in row-major subsystem order: for a
 tripartite state the entry for basis label (i_A, i_B, i_C) sits at index
 ``(i_A * d_B + i_B) * d_C + i_C``.  All containers are immutable and every
-operation is a pure function of its arguments.
+operation is a pure function of its arguments, except ``load_state``, which
+reads the JSON state format and keeps the last two files it parsed, each
+reused only while the file's text is unchanged.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ ZERO_NORM_TOL = 1e-14  # vectors shorter than this count as the zero vector
 COEFF_TOL = 1e-10  # tolerance on |a1|^2 + |a2|^2 = 1 for superpositions
 
 _CUT_NAMES = ("A|BC", "B|AC", "C|AB")
+
+# The text and state of the last _STATE_MEMO_SIZE files ``load_state`` parsed,
+# keyed by path; a d = 12 entry holds about 0.1 MB.  Two files: a bounds call
+# reads two components, and the next call of a sweep reads the same two.
+_STATE_MEMO_SIZE = 2
+_state_memo: dict[str | Path, tuple[str, PureState]] = {}
 
 
 def validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -297,6 +305,33 @@ def state_from_dict(payload: dict) -> PureState:
 
 
 def load_state(path: str | Path) -> PureState:
+    """The state in a JSON file of ``PureState.to_dict``'s format.
+
+    The file is read on every call, in text mode as UTF-8, and the last
+    _STATE_MEMO_SIZE files parsed are kept as path -> (text, state): when the
+    text read equals the text kept for that path, the kept state is returned,
+    which is safe to share because it is frozen and its amplitudes are
+    read-only.  Whole texts are compared, so a rewrite of the same size and
+    modification time is parsed again.  A coefficient sweep over one
+    component pair in one process parses its two files once; a one-shot CLI
+    process reads each file once and gains nothing.  A file that cannot be
+    read or parsed is not kept, and JSON nested too deeply for the decoder
+    raises ValueError.  Reads and evictions tolerate other threads: a race
+    costs a parse.
+    """
     with open(path, encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh))
+        text = fh.read()
+    kept = _state_memo.get(path)
+    if kept is not None and kept[0] == text:
+        return kept[1]
+    try:
+        payload = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply to decode") from exc
+    state = state_from_dict(payload)
+    _state_memo.pop(path, None)  # a re-parsed path becomes the newest entry
+    _state_memo[path] = (text, state)
+    for old in list(_state_memo)[:-_STATE_MEMO_SIZE]:  # all but the newest inserts
+        _state_memo.pop(old, None)
+    return state
 

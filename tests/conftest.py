@@ -1,13 +1,15 @@
 import pytest
 
-from supneg import bounds, library
+from supneg import bounds, library, states
 
 
 @pytest.fixture(autouse=True)
-def _empty_pair_memo():
-    """Each test starts with an empty bounds pair memo: a test that swaps a
-    kernel function must not read component sums an earlier test memoized."""
+def _empty_memos():
+    """Each test starts with an empty bounds pair memo and state-file memo: a
+    test that swaps a kernel or parsing function must not read component sums
+    or states an earlier test memoized."""
     bounds._pair_memo.clear()
+    states._state_memo.clear()
 
 
 @pytest.fixture

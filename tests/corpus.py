@@ -92,6 +92,7 @@ ENTRIES = [
     ("measure --file nan_amplitude.json", 2),
     ("measure --file bool_amplitude.json", 2),
     ("measure --file zero_vector.json", 2),
+    ("measure --file deep_nesting.json", 2),  # beyond the JSON decoder's recursion limit
     ("bounds --s1 named:ghz --s2 bad_dims.json --p 0.5", 2),
     (f"bounds {GHZ_W} --p 0.5 --a1 1 --a2 0", 2),
     (f"bounds {GHZ_W} --a1 1e200 --a2 1 --no-coeff-check", 2),
@@ -114,6 +115,7 @@ MALFORMED = {
     "nan_amplitude.json": _qubits("NaN"),
     "bool_amplitude.json": _qubits("true"),
     "zero_vector.json": _qubits("0"),
+    "deep_nesting.json": '{"dims": [2, 2, 2], "amplitudes": %s%s}\n' % ("[" * 1500, "]" * 1500),
 }
 
 

@@ -172,6 +172,48 @@ def test_measure_invalid_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def _ghz_lines() -> list[str]:
+    return json.dumps(library.ghz(2).to_dict(), indent=1).split("\n")
+
+
+def test_state_file_with_utf8_bom_exits_2(capsys, tmp_path):
+    # a state file is read as text: json.loads of the bytes would skip the BOM
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + "\n".join(_ghz_lines()).encode())
+    code, _, err = run_cli(capsys, "measure", "--file", str(path))
+    assert code == 2
+    assert "Unexpected UTF-8 BOM (decode using utf-8-sig)" in err
+
+
+def test_state_file_with_crlf_newlines(capsys, tmp_path):
+    lines = _ghz_lines()
+    path = tmp_path / "crlf.json"
+    path.write_bytes("\r\n".join(lines).encode())
+    code, out, _ = run_cli(capsys, "measure", "--file", str(path))
+    assert (code, out) == run_cli(capsys, "measure", "--named", "ghz")[:2]
+    # truncated: the error's offset counts the newline-translated text, where a
+    # read of the bytes would count each CR too
+    head = "\n".join(lines[:12]) + "\n"
+    path.write_bytes(head.replace("\n", "\r\n").encode())
+    with pytest.raises(json.JSONDecodeError) as text_error:
+        json.loads(head)
+    with pytest.raises(json.JSONDecodeError) as bytes_error:
+        json.loads(head.replace("\n", "\r\n").encode())
+    assert text_error.value.pos < bytes_error.value.pos
+    code, _, err = run_cli(capsys, "measure", "--file", str(path))
+    assert code == 2
+    assert err == f"error: invalid state file {str(path)!r}: {text_error.value}\n"
+
+
+def test_state_file_nested_too_deeply_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dims": [2, 2, 2], "amplitudes": %s%s}' % ("[" * 1500, "]" * 1500))
+    message = f"error: invalid state file {str(path)!r}: JSON nested too deeply to decode\n"
+    for argv in (["measure", "--file", str(path)],
+                 ["bounds", "--s1", str(path), "--s2", "named:ghz", "--p", "0.5"]):
+        assert run_cli(capsys, *argv)[::2] == (2, message)
+
+
 @pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2, 2]])
 def test_non_tripartite_state_file_names_itself(capsys, tmp_path, dims):
     path = tmp_path / "s.json"
@@ -414,6 +456,24 @@ def test_bounds_disjoint_product_components(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["n_exact"] == pytest.approx(6.0, abs=1e-10)
+
+
+def test_bounds_on_one_pair_parses_each_file_once(capsys, tmp_path, monkeypatch):
+    # two calls of a coefficient sweep in one process: the second reads both
+    # files again but parses neither, and the kernel runs on the pair once
+    paths = [tmp_path / f"psi{seed}.json" for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        path.write_text(json.dumps(library.haar_random([3, 3, 3], seed).to_dict()))
+    parses, kernel = [], []
+    _wrap(monkeypatch, supneg.states, "state_from_dict", lambda s: parses.append(s) or s)
+    _wrap(monkeypatch, bounds, "cross_sums", lambda sums: kernel.append(len(sums)) or sums)
+    argv = ["bounds", "--s1", str(paths[0]), "--s2", str(paths[1]), "--p", "0.3",
+            "--dump-terms"]
+    first = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0
+    assert len(parses) == 2
+    assert [n for n in kernel if n] == [3]
 
 
 def test_bounds_dump_terms(capsys):

@@ -1,6 +1,9 @@
 import ast
 import json
+import os
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +436,80 @@ def test_state_file_rejects_length_mismatch(tmp_path):
 def test_state_from_dict_requires_keys():
     with pytest.raises(ValueError, match="dims"):
         state_from_dict({"amplitudes": []})
+
+
+def _counting_parses(monkeypatch) -> list:
+    """Swap ``state_from_dict`` for a wrapper that logs each call's dims."""
+    calls, parse = [], supneg.states.state_from_dict
+    monkeypatch.setattr(supneg.states, "state_from_dict",
+                        lambda payload: calls.append(payload["dims"]) or parse(payload))
+    return calls
+
+
+def test_load_state_parses_an_unchanged_file_once(tmp_path, monkeypatch):
+    calls = _counting_parses(monkeypatch)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(library.haar_random([3, 3, 3], 1).to_dict()))
+    first = load_state(path)
+    assert load_state(path) is first
+    assert calls == [[3, 3, 3]]
+
+
+def test_load_state_reparses_a_same_size_rewrite(tmp_path, monkeypatch):
+    # the same size and modification time: only the text tells the files apart
+    calls = _counting_parses(monkeypatch)
+    path = tmp_path / "s.json"
+    first, second = (new_state([2, 2, 2], np.eye(8)[k]).to_dict() for k in (0, 7))
+    path.write_text(json.dumps(first))
+    assert load_state(path).amplitudes[0] == 1.0
+    stat = path.stat()
+    path.write_text(json.dumps(second))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert load_state(path).amplitudes[7] == 1.0
+    assert len(calls) == 2
+
+
+def test_load_state_keeps_no_failing_file(tmp_path):
+    bad = json.dumps({"dims": [2, 2, 2], "amplitudes": [[1.0, 0.0]] * 7})
+    failing, rewritten = tmp_path / "failing.json", tmp_path / "rewritten.json"
+    failing.write_text(bad)
+    rewritten.write_text(json.dumps(new_state([2, 2, 2], np.eye(8)[0]).to_dict()))
+    load_state(rewritten)
+    rewritten.write_text(bad)
+    for path in (failing, failing, rewritten, rewritten):
+        with pytest.raises(ValueError, match="length"):
+            load_state(path)
+    assert list(supneg.states._state_memo) == [rewritten]  # its first, valid text
+
+
+def test_load_state_memo_holds_the_last_two_files(tmp_path):
+    paths = [tmp_path / f"s{seed}.json" for seed in range(5)]
+    for seed, path in enumerate(paths):
+        path.write_text(json.dumps(library.haar_random([2, 2, 2], seed).to_dict()))
+        load_state(path)
+        assert len(supneg.states._state_memo) <= supneg.states._STATE_MEMO_SIZE == 2
+    assert list(supneg.states._state_memo) == paths[-2:]
+
+
+def test_load_state_memo_shared_by_threads(tmp_path):
+    # threads that read, insert and evict at once may parse a file again, but
+    # never raise and never return another file's state
+    states = [library.haar_random([3, 3, 3], seed) for seed in range(4)]
+    paths = [tmp_path / f"s{k}.json" for k in range(len(states))]
+    for state, path in zip(states, paths):
+        path.write_text(json.dumps(state.to_dict()))
+    work = [k % len(paths) for k in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda k: load_state(paths[k]), work, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, state in zip(work, got):
+        np.testing.assert_array_equal(state.amplitudes, states[k].amplitudes)
+    assert len(supneg.states._state_memo) <= supneg.states._STATE_MEMO_SIZE
 
 
 # ---------------------------------------------------------------- imports
